@@ -3,7 +3,6 @@
 #include "bxsa/decoder.hpp"
 #include "bxsa/encoder.hpp"
 #include "xml/parser.hpp"
-#include "xml/retype.hpp"
 #include "xml/writer.hpp"
 
 namespace bxsoap::bxsa {
@@ -17,8 +16,7 @@ std::string bxsa_to_xml(std::span<const std::uint8_t> bxsa_bytes) {
 
 std::vector<std::uint8_t> xml_to_bxsa(std::string_view xml_text,
                                       ByteOrder order) {
-  const xdm::DocumentPtr untyped = xml::parse_xml(xml_text);
-  const xdm::DocumentPtr typed = xml::retype(*untyped);
+  const xdm::DocumentPtr typed = xml::parse_typed_xml(xml_text);
   EncodeOptions opt;
   opt.order = order;
   return encode(*typed, opt);

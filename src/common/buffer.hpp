@@ -64,6 +64,15 @@ class ByteWriter {
   /// Append `n` zero bytes (used for alignment padding).
   void write_padding(std::size_t n) { buf_.resize(buf_.size() + n, 0); }
 
+  /// Append `n` zero bytes for the caller to fill in place, e.g. a text
+  /// encoder writing through a cursor and truncate()-ing the unused tail.
+  /// The pointer is valid until the next call that grows the writer.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t off = buf_.size();
+    buf_.resize(off + n);
+    return buf_.data() + off;
+  }
+
   /// Drop everything written after `size` bytes (used to abandon a
   /// speculative write, e.g. a compressed frame body that did not end up
   /// smaller than the plain one). Growing is not allowed.

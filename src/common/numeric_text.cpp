@@ -8,14 +8,6 @@ namespace bxsoap {
 namespace {
 
 template <typename T>
-void append_via_to_chars(std::string& out, T v) {
-  char buf[64];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  (void)ec;  // cannot fail for arithmetic types with a 64-byte buffer
-  out.append(buf, ptr);
-}
-
-template <typename T>
 std::optional<T> parse_via_from_chars(std::string_view s) {
   if (s.empty()) return std::nullopt;
   T v{};
@@ -29,15 +21,6 @@ std::optional<T> parse_via_from_chars(std::string_view s) {
 }
 
 }  // namespace
-
-void append_int64(std::string& out, std::int64_t v) {
-  append_via_to_chars(out, v);
-}
-void append_uint64(std::string& out, std::uint64_t v) {
-  append_via_to_chars(out, v);
-}
-void append_double(std::string& out, double v) { append_via_to_chars(out, v); }
-void append_float(std::string& out, float v) { append_via_to_chars(out, v); }
 
 std::string format_int64(std::int64_t v) {
   std::string s;

@@ -10,6 +10,7 @@
 // "full precision regardless of the original input".
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -22,11 +23,35 @@ std::string format_uint64(std::uint64_t v);
 std::string format_double(double v);
 std::string format_float(float v);
 
+namespace detail {
+template <typename Out, typename T>
+void append_via_to_chars(Out& out, T v) {
+  char buf[64];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  (void)ec;  // cannot fail for arithmetic types with a 64-byte buffer
+  out += std::string_view(buf, static_cast<std::size_t>(ptr - buf));
+}
+}  // namespace detail
+
 /// Append formatted text to `out` without allocating a temporary string.
-void append_int64(std::string& out, std::int64_t v);
-void append_uint64(std::string& out, std::uint64_t v);
-void append_double(std::string& out, double v);
-void append_float(std::string& out, float v);
+/// `Out` is std::string or any text sink supporting `out += string_view`
+/// (the XML writer's wire-buffer sink).
+template <typename Out>
+void append_int64(Out& out, std::int64_t v) {
+  detail::append_via_to_chars(out, v);
+}
+template <typename Out>
+void append_uint64(Out& out, std::uint64_t v) {
+  detail::append_via_to_chars(out, v);
+}
+template <typename Out>
+void append_double(Out& out, double v) {
+  detail::append_via_to_chars(out, v);
+}
+template <typename Out>
+void append_float(Out& out, float v) {
+  detail::append_via_to_chars(out, v);
+}
 
 /// Parse the full string_view as a number. The entire input must be consumed
 /// (leading/trailing junk fails); XML whitespace should be trimmed by the

@@ -25,7 +25,6 @@
 #include "bxsa/stream_writer.hpp"
 #include "xdm/node.hpp"
 #include "xml/parser.hpp"
-#include "xml/retype.hpp"
 #include "xml/writer.hpp"
 
 namespace bxsoap::soap {
@@ -113,23 +112,23 @@ class XmlEncoding {
   }
 
   std::vector<std::uint8_t> serialize(const xdm::Document& doc) const {
-    xml::WriteOptions opt;
-    opt.emit_type_info = true;
-    const std::string text = xml::write_xml(doc, opt);
-    return {text.begin(), text.end()};
+    ByteWriter out;
+    serialize_into(doc, out);
+    return out.take();
   }
 
   void serialize_into(const xdm::Document& doc, ByteWriter& out) const {
     xml::WriteOptions opt;
     opt.emit_type_info = true;
-    out.write_string(xml::write_xml(doc, opt));
+    xml::write_xml(doc, out, opt);
   }
 
+  /// One pass: annotated leaves and arrays are built typed as they are
+  /// read (xml::parse_typed_xml), with no untyped tree in between.
   xdm::DocumentPtr deserialize(std::span<const std::uint8_t> bytes) const {
     const std::string_view text(reinterpret_cast<const char*>(bytes.data()),
                                 bytes.size());
-    const xdm::DocumentPtr untyped = xml::parse_xml(text);
-    return xml::retype(*untyped);
+    return xml::parse_typed_xml(text);
   }
 
   /// Text holds no packed payloads, so there is nothing to share: decode

@@ -125,14 +125,8 @@ void append_scalar_text(std::string& out, const ScalarValue& v) {
           out += x;
         } else if constexpr (std::is_same_v<T, bool>) {
           out += x ? "true" : "false";
-        } else if constexpr (std::is_same_v<T, float>) {
-          append_float(out, x);
-        } else if constexpr (std::is_same_v<T, double>) {
-          append_double(out, x);
-        } else if constexpr (std::is_signed_v<T>) {
-          append_int64(out, static_cast<std::int64_t>(x));
         } else {
-          append_uint64(out, static_cast<std::uint64_t>(x));
+          append_atom_text(out, x);
         }
       },
       v);
@@ -166,45 +160,56 @@ T parse_integral_or_throw(std::string_view text) {
   }
 }
 
-}  // namespace
-
-ScalarValue parse_scalar(AtomType type, std::string_view text) {
-  const std::string_view t = trim_xml_ws(text);
-  switch (type) {
-    case AtomType::kString:
-      return std::string(text);  // strings keep surrounding whitespace
-    case AtomType::kInt8:
-      return parse_integral_or_throw<std::int8_t>(t);
-    case AtomType::kUInt8:
-      return parse_integral_or_throw<std::uint8_t>(t);
-    case AtomType::kInt16:
-      return parse_integral_or_throw<std::int16_t>(t);
-    case AtomType::kUInt16:
-      return parse_integral_or_throw<std::uint16_t>(t);
-    case AtomType::kInt32:
-      return parse_integral_or_throw<std::int32_t>(t);
-    case AtomType::kUInt32:
-      return parse_integral_or_throw<std::uint32_t>(t);
-    case AtomType::kInt64:
-      return parse_integral_or_throw<std::int64_t>(t);
-    case AtomType::kUInt64:
-      return parse_integral_or_throw<std::uint64_t>(t);
-    case AtomType::kFloat32: {
-      auto v = parse_float(t);
-      if (!v) throw DecodeError("bad float lexical form: '" + std::string(t) + "'");
-      return *v;
-    }
-    case AtomType::kFloat64: {
-      auto v = parse_double(t);
-      if (!v) throw DecodeError("bad double lexical form: '" + std::string(t) + "'");
-      return *v;
-    }
-    case AtomType::kBool:
+/// The lexical rules behind parse_atom and parse_scalar; declared inline so
+/// parse_scalar's per-type dispatch inlines it rather than adding a call.
+template <Atomic T>
+inline T parse_text(std::string_view text) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return std::string(text);  // strings keep surrounding whitespace
+  } else {
+    const std::string_view t = trim_xml_ws(text);
+    if constexpr (std::is_same_v<T, bool>) {
       if (t == "true" || t == "1") return true;
       if (t == "false" || t == "0") return false;
       throw DecodeError("bad boolean lexical form: '" + std::string(t) + "'");
+    } else if constexpr (std::is_same_v<T, float>) {
+      auto v = parse_float(t);
+      if (!v) throw DecodeError("bad float lexical form: '" + std::string(t) + "'");
+      return *v;
+    } else if constexpr (std::is_same_v<T, double>) {
+      auto v = parse_double(t);
+      if (!v) throw DecodeError("bad double lexical form: '" + std::string(t) + "'");
+      return *v;
+    } else {
+      return parse_integral_or_throw<T>(t);
+    }
   }
-  throw Error("unknown atom type");
+}
+
+}  // namespace
+
+template <Atomic T>
+T parse_atom(std::string_view text) {
+  return parse_text<T>(text);
+}
+
+template std::string parse_atom<std::string>(std::string_view);
+template std::int8_t parse_atom<std::int8_t>(std::string_view);
+template std::uint8_t parse_atom<std::uint8_t>(std::string_view);
+template std::int16_t parse_atom<std::int16_t>(std::string_view);
+template std::uint16_t parse_atom<std::uint16_t>(std::string_view);
+template std::int32_t parse_atom<std::int32_t>(std::string_view);
+template std::uint32_t parse_atom<std::uint32_t>(std::string_view);
+template std::int64_t parse_atom<std::int64_t>(std::string_view);
+template std::uint64_t parse_atom<std::uint64_t>(std::string_view);
+template float parse_atom<float>(std::string_view);
+template double parse_atom<double>(std::string_view);
+template bool parse_atom<bool>(std::string_view);
+
+ScalarValue parse_scalar(AtomType type, std::string_view text) {
+  return visit_atom_type(type, [text](auto t) -> ScalarValue {
+    return parse_text<typename decltype(t)::type>(text);
+  });
 }
 
 namespace {

@@ -7,9 +7,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 
 #include "common/error.hpp"
+#include "common/numeric_text.hpp"
 
 namespace bxsoap::xdm {
 
@@ -95,6 +97,71 @@ using ScalarValue =
                  std::uint16_t, std::int32_t, std::uint32_t, std::int64_t,
                  std::uint64_t, float, double, bool>;
 
+/// Call `f(std::type_identity<T>{})` with the C++ type T whose code is `t`
+/// and return its result (one switch for every per-type template).
+template <typename F>
+decltype(auto) visit_atom_type(AtomType t, F&& f) {
+  switch (t) {
+    case AtomType::kString:
+      return f(std::type_identity<std::string>{});
+    case AtomType::kInt8:
+      return f(std::type_identity<std::int8_t>{});
+    case AtomType::kUInt8:
+      return f(std::type_identity<std::uint8_t>{});
+    case AtomType::kInt16:
+      return f(std::type_identity<std::int16_t>{});
+    case AtomType::kUInt16:
+      return f(std::type_identity<std::uint16_t>{});
+    case AtomType::kInt32:
+      return f(std::type_identity<std::int32_t>{});
+    case AtomType::kUInt32:
+      return f(std::type_identity<std::uint32_t>{});
+    case AtomType::kInt64:
+      return f(std::type_identity<std::int64_t>{});
+    case AtomType::kUInt64:
+      return f(std::type_identity<std::uint64_t>{});
+    case AtomType::kFloat32:
+      return f(std::type_identity<float>{});
+    case AtomType::kFloat64:
+      return f(std::type_identity<double>{});
+    case AtomType::kBool:
+      return f(std::type_identity<bool>{});
+  }
+  throw Error("unknown atom type");
+}
+
+/// visit_atom_type over the PackedAtomic types only; bool and string have
+/// no packed array form and throw DecodeError.
+template <typename F>
+decltype(auto) visit_packed_type(AtomType t, F&& f) {
+  switch (t) {
+    case AtomType::kInt8:
+      return f(std::type_identity<std::int8_t>{});
+    case AtomType::kUInt8:
+      return f(std::type_identity<std::uint8_t>{});
+    case AtomType::kInt16:
+      return f(std::type_identity<std::int16_t>{});
+    case AtomType::kUInt16:
+      return f(std::type_identity<std::uint16_t>{});
+    case AtomType::kInt32:
+      return f(std::type_identity<std::int32_t>{});
+    case AtomType::kUInt32:
+      return f(std::type_identity<std::uint32_t>{});
+    case AtomType::kInt64:
+      return f(std::type_identity<std::int64_t>{});
+    case AtomType::kUInt64:
+      return f(std::type_identity<std::uint64_t>{});
+    case AtomType::kFloat32:
+      return f(std::type_identity<float>{});
+    case AtomType::kFloat64:
+      return f(std::type_identity<double>{});
+    case AtomType::kString:
+    case AtomType::kBool:
+      break;
+  }
+  throw DecodeError("bool/string arrays are not packed types");
+}
+
 AtomType scalar_type(const ScalarValue& v);
 
 /// Format a scalar as XML Schema canonical-ish text (numbers via to_chars,
@@ -102,9 +169,29 @@ AtomType scalar_type(const ScalarValue& v);
 void append_scalar_text(std::string& out, const ScalarValue& v);
 std::string scalar_text(const ScalarValue& v);
 
+/// The text append_scalar_text writes for a packed value, appended to any
+/// sink numeric_text's append_* accept (numbers never need XML escaping).
+template <PackedAtomic T, typename Out>
+void append_atom_text(Out& out, T v) {
+  if constexpr (std::is_same_v<T, float>) {
+    append_float(out, v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    append_double(out, v);
+  } else if constexpr (std::is_signed_v<T>) {
+    append_int64(out, static_cast<std::int64_t>(v));
+  } else {
+    append_uint64(out, static_cast<std::uint64_t>(v));
+  }
+}
+
 /// Parse text into a scalar of the requested type; throws DecodeError if the
 /// text is not a valid lexical form for the type.
 ScalarValue parse_scalar(AtomType type, std::string_view text);
+
+/// parse_scalar for a type known at compile time: the same lexical rules
+/// (parse_scalar is built on it), with no variant in between.
+template <Atomic T>
+T parse_atom(std::string_view text);
 
 /// 2005-era variant: strtod/strtoll instead of from_chars. Same values,
 /// era-faithful CPU cost (see xml::RetypeOptions::era_number_parsing).

@@ -2,57 +2,6 @@
 
 namespace bxsoap::xml {
 
-void append_escaped_text(std::string& out, std::string_view s) {
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        // Only ]]> strictly requires escaping '>', but escaping it always is
-        // the conventional safe choice.
-        out += "&gt;";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-}
-
-void append_escaped_attr(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      case '\n':
-        out += "&#10;";
-        break;
-      case '\r':
-        out += "&#13;";
-        break;
-      case '\t':
-        out += "&#9;";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-}
-
 std::string escape_text(std::string_view s) {
   std::string out;
   out.reserve(s.size());

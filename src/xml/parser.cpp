@@ -2,26 +2,15 @@
 
 #include <vector>
 
-#include "xml/ns_constants.hpp"
+#include "xml/reader.hpp"
 
 namespace bxsoap::xml {
 
 using namespace bxsoap::xdm;
 
+namespace detail {
+
 namespace {
-
-bool is_ws(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
-}
-
-bool is_name_start(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-         static_cast<unsigned char>(c) >= 0x80;
-}
-
-bool is_name_char(char c) {
-  return is_name_start(c) || (c >= '0' && c <= '9') || c == '-' || c == '.';
-}
 
 void append_utf8(std::string& out, std::uint32_t cp) {
   if (cp <= 0x7F) {
@@ -41,384 +30,314 @@ void append_utf8(std::string& out, std::uint32_t cp) {
   }
 }
 
-class Parser {
- public:
-  Parser(std::string_view text, const ParseOptions& opt)
-      : s_(text), opt_(opt) {}
+}  // namespace
 
-  DocumentPtr parse() {
-    auto doc = std::make_unique<Document>();
-    skip_prolog_ws_and_decl();
-    bool saw_root = false;
-    while (!eof()) {
-      if (peek() != '<') {
-        // Top-level text must be whitespace only.
-        const std::size_t start = pos_;
-        while (!eof() && peek() != '<') {
-          if (!is_ws(peek())) {
-            fail("character data is not allowed outside the root element");
-          }
-          take();
-        }
-        (void)start;
-        continue;
+DocumentPtr XmlReader::parse() {
+  auto doc = std::make_unique<Document>();
+  skip_prolog_ws_and_decl();
+  bool saw_root = false;
+  while (!eof()) {
+    if (peek() != '<') {
+      // Top-level text must be whitespace only.
+      if (!is_ws(peek())) {
+        fail("character data is not allowed outside the root element");
       }
-      if (starts_with("<!--")) {
-        doc->add_child(parse_comment());
-      } else if (starts_with("<?")) {
-        doc->add_child(parse_pi());
-      } else if (starts_with("<!DOCTYPE")) {
-        fail("DOCTYPE is not supported (SOAP forbids DTDs)");
-      } else {
-        if (saw_root) fail("multiple root elements");
-        ns_stack_.clear();
-        doc->add_child(parse_element());
-        saw_root = true;
-      }
+      ++pos_;
+      continue;
     }
-    if (!saw_root) fail("document has no root element");
-    return doc;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw ParseError(why, line_, pos_ - line_start_ + 1);
-  }
-
-  bool eof() const { return pos_ >= s_.size(); }
-  char peek() const { return s_[pos_]; }
-
-  char take() {
-    const char c = s_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      line_start_ = pos_;
-    }
-    return c;
-  }
-
-  bool starts_with(std::string_view prefix) const {
-    return s_.substr(pos_, prefix.size()) == prefix;
-  }
-
-  void expect(char c) {
-    if (eof() || peek() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    take();
-  }
-
-  void expect_str(std::string_view t) {
-    if (!starts_with(t)) fail("expected '" + std::string(t) + "'");
-    for (std::size_t i = 0; i < t.size(); ++i) take();
-  }
-
-  void skip_ws() {
-    while (!eof() && is_ws(peek())) take();
-  }
-
-  std::string read_name() {
-    if (eof() || !is_name_start(peek())) fail("expected a name");
-    std::string name;
-    name.push_back(take());
-    while (!eof() && (is_name_char(peek()) || peek() == ':')) {
-      name.push_back(take());
-    }
-    return name;
-  }
-
-  /// Consume until `terminator`, decoding entity and character references.
-  std::string read_text_until(char terminator) {
-    std::string out;
-    while (!eof() && peek() != terminator && peek() != '<') {
-      const char c = take();
-      if (c == '&') {
-        decode_reference(out);
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
-  void decode_reference(std::string& out) {
-    // '&' already consumed.
-    std::string name;
-    while (!eof() && peek() != ';') {
-      name.push_back(take());
-      if (name.size() > 10) fail("unterminated entity reference");
-    }
-    if (eof()) fail("unterminated entity reference");
-    take();  // ';'
-    if (name == "amp") {
-      out.push_back('&');
-    } else if (name == "lt") {
-      out.push_back('<');
-    } else if (name == "gt") {
-      out.push_back('>');
-    } else if (name == "quot") {
-      out.push_back('"');
-    } else if (name == "apos") {
-      out.push_back('\'');
-    } else if (!name.empty() && name[0] == '#') {
-      std::uint32_t cp = 0;
-      bool any = false;
-      if (name.size() > 1 && (name[1] == 'x' || name[1] == 'X')) {
-        for (std::size_t i = 2; i < name.size(); ++i) {
-          const char h = name[i];
-          std::uint32_t d;
-          if (h >= '0' && h <= '9') d = static_cast<std::uint32_t>(h - '0');
-          else if (h >= 'a' && h <= 'f') d = static_cast<std::uint32_t>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') d = static_cast<std::uint32_t>(h - 'A' + 10);
-          else fail("bad hex character reference");
-          cp = cp * 16 + d;
-          any = true;
-        }
-      } else {
-        for (std::size_t i = 1; i < name.size(); ++i) {
-          const char d = name[i];
-          if (d < '0' || d > '9') fail("bad character reference");
-          cp = cp * 10 + static_cast<std::uint32_t>(d - '0');
-          any = true;
-        }
-      }
-      if (!any || cp > 0x10FFFF) fail("bad character reference");
-      append_utf8(out, cp);
+    if (starts_with("<!--")) {
+      doc->add_child(parse_comment());
+    } else if (starts_with("<?")) {
+      doc->add_child(parse_pi());
+    } else if (starts_with("<!DOCTYPE")) {
+      fail("DOCTYPE is not supported (SOAP forbids DTDs)");
     } else {
-      fail("unknown entity '&" + name + ";' (no DTD support)");
+      if (saw_root) fail("multiple root elements");
+      ns_stack_.clear();
+      doc->add_child(parse_element());
+      saw_root = true;
     }
   }
+  if (!saw_root) fail("document has no root element");
+  return doc;
+}
 
-  // ---- namespaces -----------------------------------------------------------
+void XmlReader::fail(const std::string& why) const {
+  const std::string_view seen = s_.substr(0, pos_);
+  const auto line = 1 + std::count(seen.begin(), seen.end(), '\n');
+  const std::size_t last_nl = seen.rfind('\n');
+  const std::size_t line_start =
+      last_nl == std::string_view::npos ? 0 : last_nl + 1;
+  throw ParseError(why, static_cast<std::size_t>(line),
+                   seen.size() - line_start + 1);
+}
 
-  std::string_view resolve_prefix(std::string_view prefix) {
-    for (auto it = ns_stack_.rbegin(); it != ns_stack_.rend(); ++it) {
-      if (it->prefix == prefix) return it->uri;
-    }
-    if (prefix.empty()) return {};
-    if (prefix == "xml") return "http://www.w3.org/XML/1998/namespace";
-    fail("unbound namespace prefix '" + std::string(prefix) + "'");
+/// Advance past the next occurrence of `t` and return the text before it.
+std::string_view XmlReader::read_until(std::string_view t,
+                                       const char* unterminated) {
+  const std::size_t end = s_.find(t, pos_);
+  if (end == std::string_view::npos) {
+    pos_ = s_.size();
+    fail(unterminated);
   }
+  const std::string_view text = s_.substr(pos_, end - pos_);
+  pos_ = end + t.size();
+  return text;
+}
 
-  QName make_qname(const std::string& raw, bool is_attribute) {
-    const auto colon = raw.find(':');
-    if (colon == std::string::npos) {
-      if (is_attribute) return QName(raw);  // unprefixed attr: no namespace
-      return QName(std::string(resolve_prefix("")), raw);
-    }
-    const std::string prefix = raw.substr(0, colon);
-    const std::string local = raw.substr(colon + 1);
-    if (local.empty() || local.find(':') != std::string::npos) {
-      fail("malformed QName '" + raw + "'");
-    }
-    return QName(std::string(resolve_prefix(prefix)), local, prefix);
+void XmlReader::decode_reference(std::string& out) {
+  // '&' already consumed.
+  const std::size_t start = pos_;
+  while (!eof() && peek() != ';') {
+    ++pos_;
+    if (pos_ - start > 10) fail("unterminated entity reference");
   }
-
-  // ---- productions ----------------------------------------------------------
-
-  void skip_prolog_ws_and_decl() {
-    skip_ws();
-    if (starts_with("<?xml") && s_.size() > pos_ + 5 &&
-        (is_ws(s_[pos_ + 5]) || s_[pos_ + 5] == '?')) {
-      while (!eof() && !starts_with("?>")) take();
-      if (eof()) fail("unterminated XML declaration");
-      take();
-      take();
-    }
-  }
-
-  NodePtr parse_comment() {
-    expect_str("<!--");
-    std::string text;
-    while (!eof() && !starts_with("-->")) {
-      text.push_back(take());
-      if (text.size() >= 2 && text.substr(text.size() - 2) == "--") {
-        fail("'--' is not allowed inside a comment");
+  if (eof()) fail("unterminated entity reference");
+  const std::string_view name = s_.substr(start, pos_ - start);
+  ++pos_;  // ';'
+  if (name == "amp") {
+    out.push_back('&');
+  } else if (name == "lt") {
+    out.push_back('<');
+  } else if (name == "gt") {
+    out.push_back('>');
+  } else if (name == "quot") {
+    out.push_back('"');
+  } else if (name == "apos") {
+    out.push_back('\'');
+  } else if (!name.empty() && name[0] == '#') {
+    std::uint32_t cp = 0;
+    bool any = false;
+    if (name.size() > 1 && (name[1] == 'x' || name[1] == 'X')) {
+      for (std::size_t i = 2; i < name.size(); ++i) {
+        const char h = name[i];
+        std::uint32_t d;
+        if (h >= '0' && h <= '9') d = static_cast<std::uint32_t>(h - '0');
+        else if (h >= 'a' && h <= 'f') d = static_cast<std::uint32_t>(h - 'a' + 10);
+        else if (h >= 'A' && h <= 'F') d = static_cast<std::uint32_t>(h - 'A' + 10);
+        else fail("bad hex character reference");
+        cp = cp * 16 + d;
+        any = true;
+      }
+    } else {
+      for (std::size_t i = 1; i < name.size(); ++i) {
+        const char d = name[i];
+        if (d < '0' || d > '9') fail("bad character reference");
+        cp = cp * 10 + static_cast<std::uint32_t>(d - '0');
+        any = true;
       }
     }
-    if (eof()) fail("unterminated comment");
-    expect_str("-->");
-    return std::make_unique<CommentNode>(std::move(text));
+    if (!any || cp > 0x10FFFF) fail("bad character reference");
+    append_utf8(out, cp);
+  } else {
+    fail("unknown entity '&" + std::string(name) + ";' (no DTD support)");
   }
+}
 
-  NodePtr parse_pi() {
-    expect_str("<?");
-    const std::string target = read_name();
-    if (target == "xml") fail("XML declaration only allowed at the start");
-    std::string data;
-    skip_ws();
-    while (!eof() && !starts_with("?>")) data.push_back(take());
-    if (eof()) fail("unterminated processing instruction");
-    expect_str("?>");
-    return std::make_unique<PINode>(target, std::move(data));
+// ---- namespaces -------------------------------------------------------------
+
+std::string_view XmlReader::resolve_prefix(std::string_view prefix) {
+  for (auto it = ns_stack_.rbegin(); it != ns_stack_.rend(); ++it) {
+    if (it->prefix == prefix) return it->uri;
   }
+  if (prefix.empty()) return {};
+  if (prefix == "xml") return "http://www.w3.org/XML/1998/namespace";
+  fail("unbound namespace prefix '" + std::string(prefix) + "'");
+}
 
+QName XmlReader::make_qname(std::string_view raw, bool is_attribute) {
+  const auto colon = raw.find(':');
+  if (colon == std::string_view::npos) {
+    if (is_attribute) return QName(std::string(raw));  // no namespace
+    return QName(std::string(resolve_prefix("")), std::string(raw));
+  }
+  const std::string_view prefix = raw.substr(0, colon);
+  const std::string_view local = raw.substr(colon + 1);
+  if (local.empty() || local.find(':') != std::string_view::npos) {
+    fail("malformed QName '" + std::string(raw) + "'");
+  }
+  return QName(std::string(resolve_prefix(prefix)), std::string(local),
+               std::string(prefix));
+}
+
+// ---- productions ------------------------------------------------------------
+
+void XmlReader::skip_prolog_ws_and_decl() {
+  skip_ws();
+  if (starts_with("<?xml") && s_.size() > pos_ + 5 &&
+      (is_ws(s_[pos_ + 5]) || s_[pos_ + 5] == '?')) {
+    read_until("?>", "unterminated XML declaration");
+  }
+}
+
+NodePtr XmlReader::parse_comment() {
+  expect_str("<!--");
+  const std::size_t start = pos_;
+  const std::string_view text = read_until("-->", "unterminated comment");
+  if (const auto dashes = text.find("--"); dashes != std::string_view::npos) {
+    pos_ = start + dashes;
+    fail("'--' is not allowed inside a comment");
+  }
+  return std::make_unique<CommentNode>(std::string(text));
+}
+
+NodePtr XmlReader::parse_pi() {
+  expect_str("<?");
+  const std::string_view target = read_name();
+  if (target == "xml") fail("XML declaration only allowed at the start");
+  skip_ws();
+  const std::string_view data =
+      read_until("?>", "unterminated processing instruction");
+  return std::make_unique<PINode>(std::string(target), std::string(data));
+}
+
+void XmlReader::read_cdata(std::string& out) {
+  expect_str("<![CDATA[");
+  out.append(read_until("]]>", "unterminated CDATA section"));
+}
+
+void XmlReader::mismatched_end_tag(std::string_view closing,
+                                   std::string_view expected) const {
+  fail("mismatched end tag </" + std::string(closing) + ">, expected </" +
+       std::string(expected) + ">");
+}
+
+void XmlReader::depth_exceeded() const {
+  fail("element nesting exceeds the depth limit of " +
+       std::to_string(opt_.max_depth));
+}
+
+XmlReader::StartTag XmlReader::read_start_tag() {
   struct RawAttr {
-    std::string name;
+    std::string_view name;
     std::string value;
   };
 
-  NodePtr parse_element() {
-    if (++depth_guard_ > opt_.max_depth) {
-      fail("element nesting exceeds the depth limit of " +
-           std::to_string(opt_.max_depth));
-    }
-    expect('<');
-    const std::string raw_name = read_name();
+  expect('<');
+  StartTag tag;
+  tag.raw_name = read_name();
 
-    // Collect raw attributes first: xmlns declarations must be in force
-    // before any QName (including the element's own) is resolved.
-    std::vector<RawAttr> raw_attrs;
-    bool self_closing = false;
-    for (;;) {
-      const bool had_ws = !eof() && is_ws(peek());
-      skip_ws();
-      if (eof()) fail("unterminated start tag");
-      if (peek() == '>') {
-        take();
-        break;
-      }
-      if (peek() == '/') {
-        take();
-        expect('>');
-        self_closing = true;
-        break;
-      }
-      if (!had_ws) fail("expected whitespace before attribute");
-      RawAttr a;
-      a.name = read_name();
-      skip_ws();
-      expect('=');
-      skip_ws();
-      if (eof() || (peek() != '"' && peek() != '\'')) {
-        fail("attribute value must be quoted");
-      }
-      const char quote = take();
-      a.value = read_text_until(quote);
-      if (eof() || peek() != quote) {
-        fail(peek() == '<' ? "'<' in attribute value"
-                           : "unterminated attribute value");
-      }
-      take();
-      raw_attrs.push_back(std::move(a));
+  // Collect raw attributes first: xmlns declarations must be in force
+  // before any QName (including the element's own) is resolved.
+  std::vector<RawAttr> raw_attrs;
+  for (;;) {
+    const bool had_ws = !eof() && is_ws(peek());
+    skip_ws();
+    if (eof()) fail("unterminated start tag");
+    if (peek() == '>') {
+      ++pos_;
+      break;
     }
-
-    const std::size_t ns_mark = ns_stack_.size();
-    std::vector<NamespaceDecl> decls;
-    std::vector<RawAttr> plain_attrs;
-    for (auto& a : raw_attrs) {
-      if (a.name == "xmlns") {
-        decls.push_back({"", a.value});
-        ns_stack_.push_back(decls.back());
-      } else if (a.name.rfind("xmlns:", 0) == 0) {
-        const std::string prefix = a.name.substr(6);
-        if (prefix.empty() || a.value.empty()) {
-          fail("namespace prefix must bind a non-empty URI");
-        }
-        decls.push_back({prefix, a.value});
-        ns_stack_.push_back(decls.back());
-      } else {
-        plain_attrs.push_back(std::move(a));
-      }
+    if (peek() == '/') {
+      ++pos_;
+      expect('>');
+      tag.self_closing = true;
+      break;
     }
-
-    auto element = std::make_unique<Element>(make_qname(raw_name, false));
-    for (auto& d : decls) element->declare_namespace(d.prefix, d.uri);
-    for (auto& a : plain_attrs) {
-      const QName qn = make_qname(a.name, true);
-      if (element->find_attribute(qn) != nullptr) {
-        fail("duplicate attribute '" + a.name + "'");
-      }
-      element->add_attribute(qn, ScalarValue(std::move(a.value)));
+    if (!had_ws) fail("expected whitespace before attribute");
+    RawAttr a;
+    a.name = read_name();
+    skip_ws();
+    expect('=');
+    skip_ws();
+    if (eof() || (peek() != '"' && peek() != '\'')) {
+      fail("attribute value must be quoted");
     }
-
-    if (!self_closing) {
-      parse_content(*element, raw_name);
-    }
-    ns_stack_.resize(ns_mark);
-    --depth_guard_;
-    return element;
+    const char quote = s_[pos_++];
+    read_char_data(a.value, quote);
+    // At the end of input there is no byte to look at: report the open
+    // value without peeking past the buffer.
+    if (eof()) fail("unterminated attribute value");
+    if (peek() != quote) fail("'<' in attribute value");
+    ++pos_;
+    raw_attrs.push_back(std::move(a));
   }
 
-  void parse_content(Element& parent, const std::string& raw_name) {
-    std::string text;
-    auto flush_text = [&] {
-      if (text.empty()) return;
-      if (opt_.ignore_whitespace) {
-        bool all_ws = true;
-        for (char c : text) {
-          if (!is_ws(c)) {
-            all_ws = false;
-            break;
-          }
-        }
-        if (all_ws) {
-          text.clear();
-          return;
-        }
+  std::vector<RawAttr*> plain;
+  for (auto& a : raw_attrs) {
+    if (a.name == "xmlns") {
+      tag.decls.push_back({"", a.value});
+      ns_stack_.push_back(tag.decls.back());
+    } else if (a.name.starts_with("xmlns:")) {
+      const std::string_view prefix = a.name.substr(6);
+      if (prefix.empty() || a.value.empty()) {
+        fail("namespace prefix must bind a non-empty URI");
       }
+      tag.decls.push_back({std::string(prefix), a.value});
+      ns_stack_.push_back(tag.decls.back());
+    } else {
+      plain.push_back(&a);
+    }
+  }
+
+  for (RawAttr* a : plain) {
+    QName qn = make_qname(a->name, true);
+    for (const auto& seen : tag.attrs) {
+      if (seen.name == qn) {
+        fail("duplicate attribute '" + std::string(a->name) + "'");
+      }
+    }
+    tag.attrs.emplace_back(std::move(qn), ScalarValue(std::move(a->value)));
+  }
+  return tag;
+}
+
+NodePtr XmlReader::parse_element() {
+  enter_element();
+  const std::size_t ns_mark = ns_stack_.size();
+  StartTag tag = read_start_tag();
+  auto element = std::make_unique<Element>(element_name(tag));
+  for (auto& d : tag.decls) {
+    element->declare_namespace(std::move(d.prefix), std::move(d.uri));
+  }
+  element->attributes() = std::move(tag.attrs);
+  if (!tag.self_closing) parse_content(*element, tag.raw_name);
+  leave_element(ns_mark);
+  return element;
+}
+
+void XmlReader::parse_content(Element& parent, std::string_view raw_name) {
+  std::string text;
+  auto flush_text = [&] {
+    if (!text.empty() && !(opt_.ignore_whitespace && all_ws(text))) {
       parent.add_text(std::move(text));
-      text.clear();
-    };
+    }
+    text.clear();
+  };
 
-    for (;;) {
-      if (eof()) fail("unterminated element <" + raw_name + ">");
-      if (peek() != '<') {
-        const char c = take();
-        if (c == '&') {
-          decode_reference(text);
-        } else {
-          text.push_back(c);
-        }
-        continue;
-      }
-      if (starts_with("</")) {
-        flush_text();
-        take();
-        take();
-        const std::string closing = read_name();
-        if (closing != raw_name) {
-          fail("mismatched end tag </" + closing + ">, expected </" +
-               raw_name + ">");
-        }
-        skip_ws();
-        expect('>');
-        return;
-      }
-      if (starts_with("<!--")) {
-        flush_text();
-        parent.add_child(parse_comment());
-      } else if (starts_with("<![CDATA[")) {
-        expect_str("<![CDATA[");
-        while (!eof() && !starts_with("]]>")) text.push_back(take());
-        if (eof()) fail("unterminated CDATA section");
-        expect_str("]]>");
-      } else if (starts_with("<?")) {
-        flush_text();
-        parent.add_child(parse_pi());
-      } else if (starts_with("<!")) {
-        fail("unsupported markup declaration in content");
-      } else {
-        flush_text();
-        parent.add_child(parse_element());
-      }
+  for (;;) {
+    if (eof()) fail("unterminated element <" + std::string(raw_name) + ">");
+    if (peek() != '<') {
+      read_char_data(text, '<');
+      continue;
+    }
+    if (starts_with("</")) {
+      flush_text();
+      read_end_tag(raw_name);
+      return;
+    }
+    if (starts_with("<!--")) {
+      flush_text();
+      parent.add_child(parse_comment());
+    } else if (starts_with("<![CDATA[")) {
+      read_cdata(text);
+    } else if (starts_with("<?")) {
+      flush_text();
+      parent.add_child(parse_pi());
+    } else if (starts_with("<!")) {
+      fail("unsupported markup declaration in content");
+    } else {
+      flush_text();
+      parent.add_child(parse_element());
     }
   }
+}
 
-  std::string_view s_;
-  ParseOptions opt_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  std::size_t line_start_ = 0;
-  std::size_t depth_guard_ = 0;
-  std::vector<NamespaceDecl> ns_stack_;
-};
-
-}  // namespace
+}  // namespace detail
 
 DocumentPtr parse_xml(std::string_view text, const ParseOptions& opt) {
-  Parser p(text, opt);
-  return p.parse();
+  detail::XmlReader reader(text, opt);
+  return reader.parse();
 }
 
 }  // namespace bxsoap::xml

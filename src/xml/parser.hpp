@@ -1,4 +1,4 @@
-// A non-validating XML 1.0 parser producing an untyped bXDM tree.
+// A non-validating XML 1.0 parser with two entry points over one scanner.
 //
 // Supported: elements, attributes, namespace resolution (xmlns / xmlns:p,
 // default-namespace undeclaration), character data, entity references
@@ -7,9 +7,16 @@
 // instructions and the XML declaration. DOCTYPE declarations are rejected
 // (no DTD support — SOAP explicitly forbids them anyway).
 //
-// "Untyped" means every element is a component Element and every attribute
-// value a string. Use xml::retype() afterwards to reconstruct
-// LeafElement<T>/ArrayElement<T> from xsi:type / bx:* annotations.
+// parse_xml() builds an untyped bXDM tree: every element a component
+// Element, every attribute value a string.
+//
+// parse_typed_xml() is the decode path of XmlEncoding and xml_to_bxsa: one
+// pass that reads the xsi:type / bx:* annotations off each start tag and
+// builds LeafElement<T> / ArrayElement<T> directly, parsing array items
+// straight into the packed vector with no per-item node. It returns
+// exactly what xml::retype(*parse_xml(text)) returns, and rejects exactly
+// what that rejects; retype stays as its test oracle and as the
+// era-faithful (strtod) decode of the benchmarks.
 #pragma once
 
 #include <string_view>
@@ -49,5 +56,11 @@ struct ParseOptions {
 /// Parse a complete document. Throws ParseError on malformed input.
 xdm::DocumentPtr parse_xml(std::string_view text,
                            const ParseOptions& opt = {});
+
+/// Parse and type a complete document in one pass; equal to
+/// retype(*parse_xml(text, opt)). Throws DecodeError (ParseError for
+/// malformed XML) on any input either of those rejects.
+xdm::DocumentPtr parse_typed_xml(std::string_view text,
+                                 const ParseOptions& opt = {});
 
 }  // namespace bxsoap::xml

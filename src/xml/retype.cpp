@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "common/numeric_text.hpp"
-#include "xml/ns_constants.hpp"
+#include "xml/annotations.hpp"
 
 namespace bxsoap::xml {
 
@@ -11,9 +11,7 @@ using namespace bxsoap::xdm;
 
 namespace {
 
-bool is_reserved_uri(std::string_view uri) {
-  return uri == kXsiUri || uri == kXsdUri || uri == kBxUri;
-}
+using detail::TypedShape;
 
 class Retyper {
  public:
@@ -24,9 +22,11 @@ class Retyper {
     if (e.kind() != NodeKind::kElement) return e.clone();
     const auto& el = static_cast<const Element&>(e);
 
-    scopes_.push_back(el.namespaces());
+    const std::size_t mark = scope_.size();
+    scope_.insert(scope_.end(), el.namespaces().begin(),
+                  el.namespaces().end());
     NodePtr result = transform_component(el);
-    scopes_.pop_back();
+    scope_.resize(mark);
     return result;
   }
 
@@ -43,88 +43,6 @@ class Retyper {
   }
 
  private:
-  std::string_view resolve(std::string_view prefix) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      for (auto d = it->rbegin(); d != it->rend(); ++d) {
-        if (d->prefix == prefix) return d->uri;
-      }
-    }
-    return {};
-  }
-
-  /// Parse an annotation value like "xsd:double" into an AtomType; the
-  /// prefix must resolve to the XML Schema namespace in scope.
-  AtomType parse_type_value(std::string_view value) const {
-    const std::string_view v = trim_xml_ws(value);
-    const auto colon = v.find(':');
-    if (colon == std::string_view::npos) {
-      throw DecodeError("type annotation '" + std::string(v) +
-                        "' has no namespace prefix");
-    }
-    if (resolve(v.substr(0, colon)) != kXsdUri) {
-      throw DecodeError("type annotation prefix does not resolve to the XML "
-                        "Schema namespace");
-    }
-    auto t = atom_from_xsd_local(v.substr(colon + 1));
-    if (!t) {
-      throw DecodeError("unknown XML Schema type '" + std::string(v) + "'");
-    }
-    return *t;
-  }
-
-  /// Find an annotation attribute by expanded name; returns its text or
-  /// nullopt.
-  static std::optional<std::string> take_annotation(
-      std::vector<Attribute>& attrs, std::string_view uri,
-      std::string_view local) {
-    for (auto it = attrs.begin(); it != attrs.end(); ++it) {
-      if (it->name.namespace_uri == uri && it->name.local == local) {
-        std::string v = it->text();
-        attrs.erase(it);
-        return v;
-      }
-    }
-    return std::nullopt;
-  }
-
-  /// Copy name/namespaces (minus reserved) onto `dst`, then the attributes,
-  /// applying bx:at-* typed-attribute annotations.
-  void finish_element_base(ElementBase& dst, const ElementBase& src,
-                           std::vector<Attribute> attrs) {
-    for (const auto& d : src.namespaces()) {
-      if (!is_reserved_uri(d.uri)) dst.declare_namespace(d.prefix, d.uri);
-    }
-    // Typed-attribute annotations: bx:at-<local>="xsd:T".
-    std::vector<Attribute> out;
-    for (auto& a : attrs) {
-      if (a.name.namespace_uri == kBxUri) continue;  // consumed below
-      out.push_back(std::move(a));
-    }
-    for (const auto& a : attrs) {
-      if (a.name.namespace_uri != kBxUri ||
-          a.name.local.rfind("at-", 0) != 0) {
-        continue;
-      }
-      const std::string target = a.name.local.substr(3);
-      const AtomType t = parse_type_value(a.text());
-      bool found = false;
-      for (auto& candidate : out) {
-        if (candidate.name.namespace_uri.empty() &&
-            candidate.name.local == target) {
-          candidate.value =
-              parse(t, scalar_get<std::string>(candidate.value));
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        throw DecodeError("typed-attribute annotation for missing attribute '" +
-                          target + "'");
-      }
-    }
-    for (auto& a : out) dst.attributes().push_back(std::move(a));
-  }
-
   static std::string element_text(const Element& e) {
     std::string text;
     for (const auto& c : e.children()) {
@@ -144,48 +62,13 @@ class Retyper {
   }
 
   template <Atomic T>
-  NodePtr make_typed_leaf(const Element& e, std::vector<Attribute> attrs) {
+  NodePtr make_leaf(const Element& e) {
     ScalarValue v = parse(AtomTraits<T>::kType, element_text(e));
-    auto leaf = std::make_unique<LeafElement<T>>(e.name(),
-                                                 scalar_get<T>(v));
-    finish_element_base(*leaf, e, std::move(attrs));
-    return leaf;
-  }
-
-  NodePtr make_leaf(AtomType t, const Element& e,
-                    std::vector<Attribute> attrs) {
-    switch (t) {
-      case AtomType::kString:
-        return make_typed_leaf<std::string>(e, std::move(attrs));
-      case AtomType::kInt8:
-        return make_typed_leaf<std::int8_t>(e, std::move(attrs));
-      case AtomType::kUInt8:
-        return make_typed_leaf<std::uint8_t>(e, std::move(attrs));
-      case AtomType::kInt16:
-        return make_typed_leaf<std::int16_t>(e, std::move(attrs));
-      case AtomType::kUInt16:
-        return make_typed_leaf<std::uint16_t>(e, std::move(attrs));
-      case AtomType::kInt32:
-        return make_typed_leaf<std::int32_t>(e, std::move(attrs));
-      case AtomType::kUInt32:
-        return make_typed_leaf<std::uint32_t>(e, std::move(attrs));
-      case AtomType::kInt64:
-        return make_typed_leaf<std::int64_t>(e, std::move(attrs));
-      case AtomType::kUInt64:
-        return make_typed_leaf<std::uint64_t>(e, std::move(attrs));
-      case AtomType::kFloat32:
-        return make_typed_leaf<float>(e, std::move(attrs));
-      case AtomType::kFloat64:
-        return make_typed_leaf<double>(e, std::move(attrs));
-      case AtomType::kBool:
-        return make_typed_leaf<bool>(e, std::move(attrs));
-    }
-    throw DecodeError("unknown leaf type code");
+    return std::make_unique<LeafElement<T>>(e.name(), scalar_get<T>(v));
   }
 
   template <PackedAtomic T>
-  NodePtr make_typed_array(const Element& e, std::vector<Attribute> attrs,
-                           std::optional<std::string> item_name) {
+  NodePtr make_array(const Element& e, std::optional<std::string> item_name) {
     auto arr = std::make_unique<ArrayElement<T>>(e.name());
     for (const auto& c : e.children()) {
       switch (c->kind()) {
@@ -204,7 +87,9 @@ class Retyper {
           break;
         case NodeKind::kElement: {
           const auto& item = static_cast<const Element&>(*c);
-          if (!item_name) item_name = item.name().local;
+          detail::check_array_item(
+              item_name, item.name().local, !item.name().prefix.empty(),
+              !item.attributes().empty() || !item.namespaces().empty());
           ScalarValue v = parse(AtomTraits<T>::kType, element_text(item));
           arr->values().push_back(scalar_get<T>(v));
           break;
@@ -214,61 +99,42 @@ class Retyper {
       }
     }
     if (item_name) arr->set_item_name(*item_name);
-    finish_element_base(*arr, e, std::move(attrs));
     return arr;
-  }
-
-  NodePtr make_array(AtomType t, const Element& e,
-                     std::vector<Attribute> attrs,
-                     std::optional<std::string> item_name) {
-    switch (t) {
-      case AtomType::kInt8:
-        return make_typed_array<std::int8_t>(e, std::move(attrs), item_name);
-      case AtomType::kUInt8:
-        return make_typed_array<std::uint8_t>(e, std::move(attrs), item_name);
-      case AtomType::kInt16:
-        return make_typed_array<std::int16_t>(e, std::move(attrs), item_name);
-      case AtomType::kUInt16:
-        return make_typed_array<std::uint16_t>(e, std::move(attrs), item_name);
-      case AtomType::kInt32:
-        return make_typed_array<std::int32_t>(e, std::move(attrs), item_name);
-      case AtomType::kUInt32:
-        return make_typed_array<std::uint32_t>(e, std::move(attrs), item_name);
-      case AtomType::kInt64:
-        return make_typed_array<std::int64_t>(e, std::move(attrs), item_name);
-      case AtomType::kUInt64:
-        return make_typed_array<std::uint64_t>(e, std::move(attrs), item_name);
-      case AtomType::kFloat32:
-        return make_typed_array<float>(e, std::move(attrs), item_name);
-      case AtomType::kFloat64:
-        return make_typed_array<double>(e, std::move(attrs), item_name);
-      case AtomType::kBool:
-      case AtomType::kString:
-        throw DecodeError("bool/string arrays are not packed types");
-    }
-    throw DecodeError("unknown array type code");
   }
 
   NodePtr transform_component(const Element& e) {
     std::vector<Attribute> attrs = e.attributes();
+    TypedShape shape = detail::take_shape(attrs, scope_);
 
-    if (auto t = take_annotation(attrs, kXsiUri, "type")) {
-      return make_leaf(parse_type_value(*t), e, std::move(attrs));
-    }
-    if (auto t = take_annotation(attrs, kBxUri, "arrayType")) {
-      auto item_name = take_annotation(attrs, kBxUri, "itemName");
-      return make_array(parse_type_value(*t), e, std::move(attrs), item_name);
-    }
-
-    auto out = std::make_unique<Element>(e.name());
-    finish_element_base(*out, e, std::move(attrs));
-    for (const auto& c : e.children()) {
-      if (const ElementBase* child = as_element(*c)) {
-        out->add_child(transform_element(*child));
-      } else {
-        out->add_child(c->clone());
+    NodePtr out;
+    switch (shape.kind) {
+      case TypedShape::Kind::kLeaf:
+        out = visit_atom_type(shape.type, [&](auto t) {
+          return make_leaf<typename decltype(t)::type>(e);
+        });
+        break;
+      case TypedShape::Kind::kArray:
+        out = visit_packed_type(shape.type, [&](auto t) {
+          return make_array<typename decltype(t)::type>(
+              e, std::move(shape.item_name));
+        });
+        break;
+      case TypedShape::Kind::kComponent: {
+        auto el = std::make_unique<Element>(e.name());
+        for (const auto& c : e.children()) {
+          if (const ElementBase* child = as_element(*c)) {
+            el->add_child(transform_element(*child));
+          } else {
+            el->add_child(c->clone());
+          }
+        }
+        out = std::move(el);
+        break;
       }
     }
+    detail::finish_typed_element(static_cast<ElementBase&>(*out),
+                                 e.namespaces(), std::move(attrs), scope_,
+                                 opt_.era_number_parsing);
     return out;
   }
 
@@ -278,7 +144,8 @@ class Retyper {
   }
 
   RetypeOptions opt_;
-  std::vector<std::vector<NamespaceDecl>> scopes_;
+  /// Declarations in force, outermost first.
+  std::vector<NamespaceDecl> scope_;
 };
 
 }  // namespace

@@ -1,12 +1,21 @@
 // Typed re-parse: reconstruct LeafElement<T> / ArrayElement<T> from the
 // annotations write_xml() emits (xsi:type, bx:arrayType, bx:itemName,
-// bx:at-*). This is the second half of the paper's transcodability story:
+// bx:at-*) on an untyped tree. This is the second half of the paper's
+// transcodability story:
 //
 //   bXDM --write_xml--> text --parse_xml--> untyped bXDM --retype--> bXDM
 //
 // must reproduce the original tree (floats at full precision). Annotation
 // attributes and declarations of the xsi/xsd/bx namespaces are consumed and
-// removed so the round trip leaves no residue.
+// removed so the round trip leaves no residue. Array items must be
+// unprefixed elements that all carry the item name and no attributes or
+// declarations; anything else could not be written back and is rejected.
+//
+// Production decode does not come this way: xml::parse_typed_xml() builds
+// the same typed tree in one pass with no untyped tree in between.
+// retype() is its test oracle (same tree, or both reject) and the
+// era-faithful decode (RetypeOptions::era_number_parsing) of the
+// benchmarks.
 //
 // The paper's SOAP-encoding-rule note applies: without a schema, the textual
 // form must carry explicit type information, otherwise retype() has nothing
@@ -27,7 +36,8 @@ struct RetypeOptions {
 
 /// Rebuild a typed tree from an untyped parse. Unannotated elements pass
 /// through unchanged. Throws DecodeError when an annotation is malformed
-/// (unknown type name, leaf with element children, non-numeric array item).
+/// (unknown type name, leaf with element children, non-numeric array item,
+/// an array item that would be lost).
 xdm::DocumentPtr retype(const xdm::Document& doc,
                         const RetypeOptions& opt = {});
 

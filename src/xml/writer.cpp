@@ -1,6 +1,8 @@
 #include "xml/writer.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -40,11 +42,47 @@ void append_scalar_text_era(std::string& out, const ScalarValue& v) {
       v);
 }
 
+/// Text sink writing straight into a ByteWriter (the wire buffer), so
+/// serialize_into builds no intermediate std::string. It claims space a
+/// chunk at a time with ByteWriter::extend() and copies each piece in with
+/// one memcpy; finish() trims the unused tail.
+class ByteWriterText {
+ public:
+  explicit ByteWriterText(ByteWriter& w) : w_(w) {}
+
+  ByteWriterText& operator+=(std::string_view s) {
+    if (room_ < s.size()) grow(s.size());
+    std::memcpy(cursor_, s.data(), s.size());
+    cursor_ += s.size();
+    room_ -= s.size();
+    return *this;
+  }
+  ByteWriterText& operator+=(char c) { return *this += std::string_view(&c, 1); }
+
+  void finish() {
+    w_.truncate(w_.size() - room_);
+    room_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kChunk = 16 * 1024;
+
+  void grow(std::size_t need) {
+    finish();
+    room_ = std::max(need, kChunk);
+    cursor_ = w_.extend(room_);
+  }
+
+  ByteWriter& w_;
+  std::uint8_t* cursor_ = nullptr;
+  std::size_t room_ = 0;
+};
+
+/// Serializes into `Out`: std::string (write_xml) or ByteWriterText.
+template <typename Out>
 class Writer final : public NodeVisitor {
  public:
-  explicit Writer(const WriteOptions& opt) : opt_(opt) {}
-
-  std::string take() { return std::move(out_); }
+  Writer(Out& out, const WriteOptions& opt) : opt_(opt), out_(out) {}
 
   void visit(const Document& d) override {
     if (opt_.xml_decl) {
@@ -106,27 +144,21 @@ class Writer final : public NodeVisitor {
       }
     }
     out_ += '>';
-    const bool block = opt_.indent > 0;
     ++depth_;
-    std::string text;
-    for (std::size_t i = 0; i < e.count(); ++i) {
-      if (block) indent_line();
-      out_ += '<';
-      out_ += e.item_name();
-      out_ += '>';
-      text.clear();
-      if (opt_.era_number_formatting) {
+    if (opt_.era_number_formatting) {
+      std::string text;
+      for (std::size_t i = 0; i < e.count(); ++i) {
+        text.clear();
         append_scalar_text_era(text, e.item_scalar(i));
-      } else {
-        e.append_item_text(i, text);
+        append_item(e.item_name(), text);
       }
-      append_escaped_text(out_, text);
-      out_ += "</";
-      out_ += e.item_name();
-      out_ += '>';
+    } else {
+      visit_packed_type(e.atom_type(), [&](auto type) {
+        append_items<typename decltype(type)::type>(e);
+      });
     }
     --depth_;
-    if (block) indent_line();
+    indent_line();
     close_tag(tag.lexical);
     end_open_tag(tag);
   }
@@ -144,6 +176,36 @@ class Writer final : public NodeVisitor {
   }
 
  private:
+  /// One array item: `<item>text</item>`, text escaped.
+  void append_item(std::string_view item_name, std::string_view text) {
+    indent_line();
+    out_ += '<';
+    out_ += item_name;
+    out_ += '>';
+    append_escaped_text(out_, text);
+    out_ += "</";
+    out_ += item_name;
+    out_ += '>';
+  }
+
+  /// The modern-formatting item loop: each number is formatted straight
+  /// into out_ (numbers need no escaping), read from the packed bytes with
+  /// no per-item ScalarValue or temporary string.
+  template <PackedAtomic T>
+  void append_items(const ArrayElementBase& e) {
+    const std::string open = '<' + e.item_name() + '>';
+    const std::string close = "</" + e.item_name() + '>';
+    const std::uint8_t* bytes = e.packed_bytes().data();
+    for (std::size_t i = 0; i < e.count(); ++i) {
+      T v;
+      std::memcpy(&v, bytes + i * sizeof(T), sizeof(T));
+      indent_line();
+      out_ += open;
+      append_atom_text(out_, v);
+      out_ += close;
+    }
+  }
+
   struct OpenTag {
     std::string lexical;  // the element's serialized name
   };
@@ -334,12 +396,12 @@ class Writer final : public NodeVisitor {
   void indent_line() {
     if (opt_.indent > 0) {
       out_ += '\n';
-      out_.append(static_cast<std::size_t>(depth_ * opt_.indent), ' ');
+      out_ += std::string(static_cast<std::size_t>(depth_ * opt_.indent), ' ');
     }
   }
 
   WriteOptions opt_;
-  std::string out_;
+  Out& out_;
   std::vector<std::vector<NamespaceDecl>> scopes_;
   std::vector<NamespaceDecl> pending_decls_;
   int depth_ = 0;
@@ -349,20 +411,29 @@ class Writer final : public NodeVisitor {
 }  // namespace
 
 std::string write_xml(const Node& node, const WriteOptions& opt) {
-  Writer w(opt);
+  std::string out;
   if (opt.xml_decl && node.kind() != NodeKind::kDocument) {
     // visit(Document) emits the declaration itself; for bare nodes, prefix
     // it here.
-    std::string out = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-    node.accept(w);
-    return out + w.take();
+    out = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
   }
+  Writer<std::string> w(out, opt);
   node.accept(w);
-  return w.take();
+  return out;
 }
 
 std::string write_xml(const Document& doc, const WriteOptions& opt) {
   return write_xml(static_cast<const Node&>(doc), opt);
+}
+
+void write_xml(const Node& node, ByteWriter& out, const WriteOptions& opt) {
+  ByteWriterText text(out);
+  if (opt.xml_decl && node.kind() != NodeKind::kDocument) {
+    text += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
+  }
+  Writer<ByteWriterText> w(text, opt);
+  node.accept(w);
+  text.finish();
 }
 
 }  // namespace bxsoap::xml

@@ -21,6 +21,7 @@
 
 #include <string>
 
+#include "common/buffer.hpp"
 #include "xdm/node.hpp"
 
 namespace bxsoap::xml {
@@ -46,5 +47,10 @@ std::string write_xml(const xdm::Node& node, const WriteOptions& opt = {});
 
 /// Convenience for the common document case.
 std::string write_xml(const xdm::Document& doc, const WriteOptions& opt = {});
+
+/// Append the same bytes write_xml() returns straight to `out` (a wire
+/// buffer, possibly with a frame header already reserved).
+void write_xml(const xdm::Node& node, ByteWriter& out,
+               const WriteOptions& opt = {});
 
 }  // namespace bxsoap::xml

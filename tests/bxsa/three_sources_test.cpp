@@ -7,6 +7,7 @@
 
 #include "bxsa/decoder.hpp"
 #include "bxsa/encoder.hpp"
+#include "support/typed_xml.hpp"
 #include "xdm/equal.hpp"
 #include "xdm/path.hpp"
 #include "xml/parser.hpp"
@@ -39,7 +40,8 @@ class ThreeSources : public ::testing::Test {
     // Source 2: through textual XML.
     xml::WriteOptions opt;
     opt.emit_type_info = true;
-    from_xml_ = xml::retype(*xml::parse_xml(xml::write_xml(*in_memory_, opt)));
+    xml_text_ = xml::write_xml(*in_memory_, opt);
+    from_xml_ = xml::retype(*xml::parse_xml(xml_text_));
     // Source 3: through BXSA.
     from_bxsa_holder_ = encode(*in_memory_);
     auto node = decode(from_bxsa_holder_);
@@ -52,10 +54,15 @@ class ThreeSources : public ::testing::Test {
     return {in_memory_.get(), from_xml_.get(), from_bxsa_.get()};
   }
 
+  std::string xml_text_;
   DocumentPtr in_memory_, from_xml_, from_bxsa_;
   std::vector<std::uint8_t> from_bxsa_holder_;
   PrefixMap prefixes_;
 };
+
+TEST_F(ThreeSources, OnePassXmlDecodeMatchesTheRetypeOracle) {
+  EXPECT_TRUE(xmltest::typed_parse_matches_oracle(xml_text_));
+}
 
 TEST_F(ThreeSources, DocumentsAreDeepEqual) {
   EXPECT_TRUE(deep_equal(*in_memory_, *from_xml_))

@@ -5,6 +5,7 @@
 #include "bxsa/decoder.hpp"
 #include "bxsa/encoder.hpp"
 #include "common/prng.hpp"
+#include "support/typed_xml.hpp"
 #include "xdm/equal.hpp"
 #include "xml/parser.hpp"
 
@@ -98,6 +99,28 @@ TEST(Transcode, BigEndianBxsaTranscodesToo) {
   const auto bxsa_le = xml_to_bxsa(xml, ByteOrder::kLittle);
   const NodePtr back = decode(bxsa_le);
   EXPECT_TRUE(deep_equal(*doc, *back)) << first_difference(*doc, *back);
+}
+
+TEST(Transcode, OnePassDecodeMatchesTheRetypeOracle) {
+  // xml_to_bxsa decodes with xml::parse_typed_xml; on every document above
+  // it must build what retype(*parse_xml(x)) builds.
+  auto mixed = make_element(QName("r"));
+  mixed->add_text("a ");
+  mixed->add_child(std::make_unique<CommentNode>(" c "));
+  mixed->add_child(std::make_unique<PINode>("app", "x=1"));
+  mixed->add_child(make_leaf<std::string>(QName("s"), std::string("<&>")));
+  const std::string texts[] = {
+      bxsa_to_xml(encode(*lead_document(100))),
+      bxsa_to_xml(encode(*make_document(std::move(mixed)))),
+      "<data><a xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\" "
+      "xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\" "
+      "xsi:type=\"xsd:double\">0.10000000000000001</a>"
+      "<plain attr=\"v\">text</plain></data>",
+      "<r a=\"1\"><c>text &amp; more</c><!--note--><?pi data?></r>",
+  };
+  for (const auto& text : texts) {
+    EXPECT_TRUE(xmltest::typed_parse_matches_oracle(text)) << text;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,17 @@
 // Robustness: the XML parser must never crash, hang, or read out of bounds
 // on hostile input — every malformed document throws ParseError/DecodeError.
+// Inputs are fed as exact-size heap buffers (as XmlEncoding receives them
+// off the wire), so AddressSanitizer reports any read past the end; a
+// std::string's terminator would hide it.
+//
+// The mutants also run the one-pass typed decoder against its oracle:
+// parse_typed_xml(x) must equal retype(*parse_xml(x)) or both must reject.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/prng.hpp"
+#include "support/typed_xml.hpp"
 #include "xml/parser.hpp"
 #include "xml/retype.hpp"
 #include "xml/writer.hpp"
@@ -17,12 +26,35 @@ const std::string kSeedDoc =
     "xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\">2.5</x:c>"
     "<!--note--><?pi data?><d><![CDATA[raw<>&]]></d>text&#65;</r>";
 
+/// Typed arrays and leaves with the markup the typed decoder tolerates
+/// between and inside items.
+const std::string kTypedSeedDoc =
+    "<r xmlns:bx=\"urn:bxsa:annotations\" "
+    "xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\" "
+    "xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\" "
+    "k=\"3\" bx:at-k=\"xsd:int\">"
+    "<a bx:arrayType=\"xsd:double\"><d>1.5</d> <d>-0</d><!--c--><d>&#50;"
+    "</d><d><![CDATA[4]]></d></a>"
+    "<b bx:arrayType=\"xsd:unsignedByte\" bx:itemName=\"v\"><v>7</v>"
+    "<?p?><v>255</v></b>"
+    "<t xsi:type=\"xsd:long\">-9</t><s xsi:type=\"xsd:string\"> x </s></r>";
+
+/// An exact-size heap copy of `doc`: one byte past the end is outside the
+/// allocation.
+std::vector<char> exact_copy(const std::string& doc) {
+  return std::vector<char>(doc.begin(), doc.end());
+}
+
+std::string_view view(const std::vector<char>& buf) {
+  return {buf.data(), buf.size()};
+}
+
 class XmlFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(XmlFuzz, MutatedDocumentsNeverCrash) {
   SplitMix64 rng(GetParam());
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string doc = kSeedDoc;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string doc = trial % 2 == 0 ? kSeedDoc : kTypedSeedDoc;
     const std::uint64_t mutations = 1 + rng.next_below(8);
     for (std::uint64_t m = 0; m < mutations; ++m) {
       const std::uint64_t pos = rng.next_below(doc.size());
@@ -41,16 +73,9 @@ TEST_P(XmlFuzz, MutatedDocumentsNeverCrash) {
       }
       if (doc.empty()) break;
     }
-    try {
-      auto parsed = parse_xml(doc);
-      // If it still parses, the typed re-parse must also not crash.
-      try {
-        retype(*parsed);
-      } catch (const DecodeError&) {
-      }
-    } catch (const ParseError&) {
-      // Expected for most mutations.
-    }
+    const std::vector<char> buf = exact_copy(doc);
+    // Both typed decoders must agree; each must fail only with DecodeError.
+    xmltest::typed_parse_matches_oracle(view(buf));
   }
 }
 
@@ -65,10 +90,12 @@ TEST(XmlFuzz, RandomBytesNeverCrash) {
     for (std::uint64_t i = 0; i < n; ++i) {
       doc.push_back(static_cast<char>(rng.next()));
     }
+    const std::vector<char> buf = exact_copy(doc);
     try {
-      parse_xml(doc);
+      parse_xml(view(buf));
     } catch (const ParseError&) {
     }
+    xmltest::typed_parse_matches_oracle(view(buf));
   }
 }
 

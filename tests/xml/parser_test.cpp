@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "xdm/dump.hpp"
 
 namespace bxsoap::xml {
@@ -209,6 +211,19 @@ TEST(XmlParserErrors, ErrorCarriesLineAndColumn) {
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 3u);
     EXPECT_NE(std::string(e.what()).find("xml:3:"), std::string::npos);
+  }
+}
+
+TEST(XmlParserErrors, OpenAttributeValueAtEndOfExactSizeBuffer) {
+  // The input ends inside an attribute value. Fed as an exact-size heap
+  // buffer (how XmlEncoding gets it off the wire), there is no terminator
+  // to read: the parser must report the open value without peeking past
+  // the end, which AddressSanitizer would catch.
+  for (const std::string_view doc : {"<a b=\"x", "<a b='", "<a b=\"&amp;"}) {
+    const std::vector<char> buf(doc.begin(), doc.end());
+    const std::string_view text(buf.data(), buf.size());
+    EXPECT_THROW(parse_xml(text), ParseError) << doc;
+    EXPECT_THROW(parse_typed_xml(text), ParseError) << doc;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/prng.hpp"
+#include "support/typed_xml.hpp"
 #include "xdm/equal.hpp"
 #include "xml/ns_constants.hpp"
 #include "xml/parser.hpp"
@@ -14,11 +15,21 @@ namespace {
 using namespace bxsoap::xdm;
 
 /// The full transcode loop the paper requires: typed tree -> text ->
-/// untyped parse -> retype must restore the original tree.
+/// untyped parse -> retype must restore the original tree. The one-pass
+/// decoder must build the same tree from the same text.
 DocumentPtr text_round_trip(const Document& doc) {
   const std::string text = write_xml(doc);
+  EXPECT_TRUE(xmltest::typed_parse_matches_oracle(text));
   auto parsed = parse_xml(text);
   return retype(*parsed);
+}
+
+/// `text` is well-formed XML whose annotations retype rejects; the one-pass
+/// decoder must reject it too.
+void expect_rejected(const std::string& text) {
+  auto parsed = parse_xml(text);
+  EXPECT_THROW(retype(*parsed), DecodeError) << text;
+  EXPECT_THROW(parse_typed_xml(text), DecodeError) << text;
 }
 
 TEST(Retype, LeafDouble) {
@@ -141,50 +152,68 @@ TEST(Retype, ReservedNamespaceResidueRemoved) {
 }
 
 TEST(RetypeErrors, UnknownXsdType) {
-  auto parsed = parse_xml(
+  expect_rejected(
       "<t xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\" "
       "xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\" "
       "xsi:type=\"xsd:decimal\">1</t>");
-  EXPECT_THROW(retype(*parsed), DecodeError);
 }
 
 TEST(RetypeErrors, TypePrefixNotXsd) {
-  auto parsed = parse_xml(
+  expect_rejected(
       "<t xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\" "
       "xmlns:other=\"urn:other\" xsi:type=\"other:double\">1</t>");
-  EXPECT_THROW(retype(*parsed), DecodeError);
 }
 
 TEST(RetypeErrors, LeafWithElementChildren) {
-  auto parsed = parse_xml(
+  expect_rejected(
       "<t xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\" "
       "xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\" "
       "xsi:type=\"xsd:double\"><child/></t>");
-  EXPECT_THROW(retype(*parsed), DecodeError);
 }
 
 TEST(RetypeErrors, BadLexicalValue) {
-  auto parsed = parse_xml(
+  expect_rejected(
       "<t xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\" "
       "xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\" "
       "xsi:type=\"xsd:int\">not-a-number</t>");
-  EXPECT_THROW(retype(*parsed), DecodeError);
 }
 
 TEST(RetypeErrors, ArrayWithStrayText) {
-  auto parsed = parse_xml(
+  expect_rejected(
       "<a xmlns:bx=\"urn:bxsa:annotations\" "
       "xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\" "
       "bx:arrayType=\"xsd:int\"><d>1</d>junk</a>");
-  EXPECT_THROW(retype(*parsed), DecodeError);
 }
 
 TEST(RetypeErrors, AnnotationForMissingAttribute) {
-  auto parsed = parse_xml(
+  expect_rejected(
       "<e xmlns:bx=\"urn:bxsa:annotations\" "
       "xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\" "
       "bx:at-id=\"xsd:int\"/>");
-  EXPECT_THROW(retype(*parsed), DecodeError);
+}
+
+TEST(RetypeErrors, ArrayItemsThatWouldBeLost) {
+  // The typed array keeps only values and one item name, so items it could
+  // not write back byte for byte are rejected rather than dropped.
+  const std::string decls =
+      "xmlns:bx=\"urn:bxsa:annotations\" "
+      "xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\" ";
+  // A second item name, with an attribute.
+  expect_rejected("<a " + decls +
+                  "bx:arrayType=\"xsd:int\"><d>1</d><e k=\"v\">2</e></a>");
+  // A second item name alone.
+  expect_rejected("<a " + decls +
+                  "bx:arrayType=\"xsd:int\"><d>1</d><e>2</e></a>");
+  // An attribute or a namespace declaration on an item.
+  expect_rejected("<a " + decls +
+                  "bx:arrayType=\"xsd:int\"><d>1</d><d k=\"v\">2</d></a>");
+  expect_rejected("<a " + decls +
+                  "bx:arrayType=\"xsd:int\"><d xmlns:q=\"urn:q\">1</d></a>");
+  // A prefixed item, and items not named by bx:itemName.
+  expect_rejected("<a " + decls +
+                  "bx:arrayType=\"xsd:int\"><bx:d>1</bx:d></a>");
+  expect_rejected("<a " + decls +
+                  "bx:arrayType=\"xsd:int\" bx:itemName=\"v\"><d>1</d></a>");
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/prng.hpp"
+#include "support/typed_xml.hpp"
 #include "xdm/node.hpp"
+#include "xml/escape.hpp"
 
 namespace bxsoap::xml {
 namespace {
@@ -173,6 +176,135 @@ TEST(XmlWriter, PrettyPrintKeepsMixedContentInline) {
   WriteOptions o = plain();
   o.indent = 2;
   EXPECT_EQ(write_xml(*root, o), "<r>a<b/></r>");
+}
+
+// ---- byte identity with the writer's earlier per-item path ----------------
+//
+// The goldens below are the writer's output before array items were
+// formatted straight into the output (each item then went through a
+// ScalarValue, a temporary string and the text escaper). The item loop and
+// both output sinks must reproduce them byte for byte.
+
+const char* const kEdgeValueGoldens[] = {
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:byte"><d>-128</d><d>-127</d><d>-1</d><d>0</d><d>1</d><d>126</d><d>127</d></a>)xml",
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:unsignedByte"><d>0</d><d>1</d><d>127</d><d>254</d><d>255</d></a>)xml",
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:short"><d>-32768</d><d>-32767</d><d>-1</d><d>0</d><d>1</d><d>32766</d><d>32767</d></a>)xml",
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:unsignedShort"><d>0</d><d>1</d><d>32767</d><d>65534</d><d>65535</d></a>)xml",
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:int"><d>-2147483648</d><d>-2147483647</d><d>-1</d><d>0</d><d>1</d><d>2147483646</d><d>2147483647</d></a>)xml",
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:unsignedInt"><d>0</d><d>1</d><d>2147483647</d><d>4294967294</d><d>4294967295</d></a>)xml",
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:long"><d>-9223372036854775808</d><d>-9223372036854775807</d><d>-1</d><d>0</d><d>1</d><d>9223372036854775806</d><d>9223372036854775807</d></a>)xml",
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:unsignedLong"><d>0</d><d>1</d><d>9223372036854775807</d><d>18446744073709551614</d><d>18446744073709551615</d></a>)xml",
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:float"><d>nan</d><d>-nan</d><d>inf</d><d>-inf</d><d>0</d><d>-0</d><d>1e-45</d><d>-1e-45</d><d>1.1754944e-38</d><d>3.4028235e+38</d><d>-3.4028235e+38</d><d>0.1</d><d>-1.5</d><d>1e-30</d></a>)xml",
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:double"><d>nan</d><d>-nan</d><d>inf</d><d>-inf</d><d>0</d><d>-0</d><d>5e-324</d><d>-5e-324</d><d>2.2250738585072014e-308</d><d>1.7976931348623157e+308</d><d>-1.7976931348623157e+308</d><d>0.1</d><d>-1.5</d><d>1e-30</d></a>)xml",
+};
+
+const char* const kEraFloatGoldens[] = {
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:float"><d>nan</d><d>-nan</d><d>inf</d><d>-inf</d><d>0</d><d>-0</d><d>1.4012984643248171e-45</d><d>-1.4012984643248171e-45</d><d>1.1754943508222875e-38</d><d>3.4028234663852886e+38</d><d>-3.4028234663852886e+38</d><d>0.10000000149011612</d><d>-1.5</d><d>1.0000000031710769e-30</d></a>)xml",
+    R"xml(<a xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" bx:arrayType="xsd:double"><d>nan</d><d>-nan</d><d>inf</d><d>-inf</d><d>0</d><d>-0</d><d>4.9406564584124654e-324</d><d>-4.9406564584124654e-324</d><d>2.2250738585072014e-308</d><d>1.7976931348623157e+308</d><d>-1.7976931348623157e+308</d><d>0.10000000000000001</d><d>-1.5</d><d>1.0000000000000001e-30</d></a>)xml",
+};
+
+const char* const kMixedGoldens[] = {
+    R"xml(<app:data xmlns:app="urn:app" xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" id="17" bx:at-id="xsd:int" w="2.5" bx:at-w="xsd:double" note="a&lt;b &amp; &quot;c&quot;&#10;"><app:temp xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="xsd:double">287.5</app:temp><s xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="xsd:string"> x &lt;&amp;&gt; y </s><ok xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="xsd:boolean">true</ok><f xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="xsd:float">-0</f><app:idx bx:arrayType="xsd:short" bx:itemName="v"><v>9</v><v>-8</v><v>7</v></app:idx><empty bx:arrayType="xsd:double"></empty><meta>free text <!-- note --><?app x=1?></meta><big xmlns="urn:other" bx:arrayType="xsd:unsignedLong"><d>0</d><d>18446744073709551615</d></big></app:data>)xml",
+    R"xml(<app:data xmlns:app="urn:app" xmlns:bx="urn:bxsa:annotations" xmlns:xsd="http://www.w3.org/2001/XMLSchema" id="17" bx:at-id="xsd:int" w="2.5" bx:at-w="xsd:double" note="a&lt;b &amp; &quot;c&quot;&#10;">
+  <app:temp xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="xsd:double">287.5</app:temp>
+  <s xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="xsd:string"> x &lt;&amp;&gt; y </s>
+  <ok xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="xsd:boolean">true</ok>
+  <f xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" xsi:type="xsd:float">-0</f>
+  <app:idx bx:arrayType="xsd:short" bx:itemName="v">
+    <v>9</v>
+    <v>-8</v>
+    <v>7</v>
+  </app:idx>
+  <empty bx:arrayType="xsd:double">
+  </empty>
+  <meta>free text <!-- note --><?app x=1?></meta>
+  <big xmlns="urn:other" bx:arrayType="xsd:unsignedLong">
+    <d>0</d>
+    <d>18446744073709551615</d>
+  </big>
+</app:data>)xml",
+    R"xml(<?xml version="1.0" encoding="UTF-8"?><app:data xmlns:app="urn:app" id="17" w="2.5" note="a&lt;b &amp; &quot;c&quot;&#10;"><app:temp>287.5</app:temp><s> x &lt;&amp;&gt; y </s><ok>true</ok><f>-0</f><app:idx><v>9</v><v>-8</v><v>7</v></app:idx><empty></empty><meta>free text <!-- note --><?app x=1?></meta><big xmlns="urn:other"><d>0</d><d>18446744073709551615</d></big></app:data>)xml",
+};
+
+std::string via_byte_writer(const Node& node, const WriteOptions& opt) {
+  // Appends after bytes already in the buffer, as behind a frame header.
+  ByteWriter w(std::vector<std::uint8_t>{'h', 'd', 'r'});
+  write_xml(node, w, opt);
+  const auto bytes = w.bytes();
+  EXPECT_EQ(std::string(bytes.begin(), bytes.begin() + 3), "hdr");
+  return std::string(bytes.begin() + 3, bytes.end());
+}
+
+TEST(XmlWriterBytes, EdgeValueArraysMatchGoldens) {
+  const auto docs = xmltest::edge_value_documents();
+  ASSERT_EQ(docs.size(), std::size(kEdgeValueGoldens));
+  WriteOptions era;
+  era.era_number_formatting = true;
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    EXPECT_EQ(write_xml(*docs[i]), kEdgeValueGoldens[i]);
+    EXPECT_EQ(via_byte_writer(*docs[i], {}), kEdgeValueGoldens[i]);
+  }
+  // The era formatting branch (float and double documents).
+  for (std::size_t i = 0; i < std::size(kEraFloatGoldens); ++i) {
+    const Document& doc = *docs[docs.size() - 2 + i];
+    EXPECT_EQ(write_xml(doc, era), kEraFloatGoldens[i]);
+    EXPECT_EQ(via_byte_writer(doc, era), kEraFloatGoldens[i]);
+  }
+}
+
+TEST(XmlWriterBytes, MixedDocumentMatchesGoldensInEveryForm) {
+  const DocumentPtr doc = xmltest::mixed_document();
+  WriteOptions indented;
+  indented.indent = 2;
+  WriteOptions plain_decl = plain();
+  plain_decl.xml_decl = true;
+  const WriteOptions forms[] = {WriteOptions{}, indented, plain_decl};
+  for (std::size_t i = 0; i < std::size(forms); ++i) {
+    EXPECT_EQ(write_xml(*doc, forms[i]), kMixedGoldens[i]);
+    EXPECT_EQ(via_byte_writer(*doc, forms[i]), kMixedGoldens[i]);
+  }
+}
+
+/// The items as the earlier writer formatted them: each item's ScalarValue
+/// through append_scalar_text, then the text escaper.
+std::string items_by_scalar_text(const ArrayElementBase& a) {
+  std::string out;
+  for (std::size_t i = 0; i < a.count(); ++i) {
+    out += "<" + a.item_name() + ">";
+    out += escape_text(scalar_text(a.item_scalar(i)));
+    out += "</" + a.item_name() + ">";
+  }
+  return out;
+}
+
+TEST(XmlWriterBytes, RandomArraysMatchTheScalarTextFormula) {
+  // Large enough that the ByteWriter sink crosses several of its chunks.
+  SplitMix64 rng(2024);
+  std::vector<NodePtr> arrays;
+  std::vector<double> d(20000);
+  for (double& v : d) v = rng.next_double(-1e300, 1e300);
+  arrays.push_back(make_array<double>(QName("a"), d));
+  std::vector<float> f(5000);
+  for (float& v : f) v = static_cast<float>(rng.next_double(-1e30, 1e30));
+  arrays.push_back(make_array<float>(QName("a"), f));
+  std::vector<std::int64_t> l(5000);
+  for (auto& v : l) v = static_cast<std::int64_t>(rng.next());
+  arrays.push_back(make_array<std::int64_t>(QName("a"), l));
+  std::vector<std::uint16_t> u(5000);
+  for (auto& v : u) v = static_cast<std::uint16_t>(rng.next());
+  auto named = make_array<std::uint16_t>(QName("a"), u);
+  named->set_item_name("item");
+  arrays.push_back(std::move(named));
+
+  for (const auto& node : arrays) {
+    const auto& a = static_cast<const ArrayElementBase&>(*node);
+    const std::string text = write_xml(a);
+    const std::string items = items_by_scalar_text(a);
+    const std::size_t open_end = text.find('>') + 1;
+    EXPECT_EQ(text.substr(open_end, items.size()), items);
+    EXPECT_EQ(text.substr(open_end + items.size()), "</a>");
+    EXPECT_EQ(via_byte_writer(a, {}), text);
+  }
 }
 
 }  // namespace
