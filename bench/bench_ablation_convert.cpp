@@ -5,18 +5,22 @@
 // performance" — not the byte count. This bench isolates that claim:
 //
 //   * per-value: native memcpy vs to_chars (modern) vs snprintf (2005-era)
-//     vs from_chars vs strtod;
+//     vs from_chars vs strtod, and the codec's own append_double /
+//     parse_double (short-decimal fast paths) on full-precision values and
+//     on two-decimal values like a LEAD dataset's;
 //   * whole-message: BXSA encode vs XML serialize (both formatters) for the
 //     paper's 1000-pair dataset, and the corresponding decode paths.
 #include <benchmark/benchmark.h>
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "bxsa/decoder.hpp"
 #include "bxsa/encoder.hpp"
+#include "common/numeric_text.hpp"
 #include "common/prng.hpp"
 #include "workload/lead.hpp"
 #include "xml/parser.hpp"
@@ -27,11 +31,30 @@ using namespace bxsoap;
 
 namespace {
 
+/// Full-precision values (16-17 significant digits).
 std::vector<double> sample_doubles(std::size_t n) {
   SplitMix64 rng(11);
   std::vector<double> v(n);
   for (auto& x : v) x = rng.next_double(200, 320);
   return v;
+}
+
+/// Two-decimal values in the same range, as in a LEAD dataset.
+std::vector<double> sample_two_decimal_doubles(std::size_t n) {
+  SplitMix64 rng(11);
+  std::vector<double> v(n);
+  for (auto& x : v) x = std::round(rng.next_double(200, 320) * 100.0) / 100.0;
+  return v;
+}
+
+/// The doubles of each sample, by benchmark argument.
+std::vector<double> sample_by_arg(const benchmark::State& state) {
+  return state.range(0) == 0 ? sample_doubles(1024)
+                             : sample_two_decimal_doubles(1024);
+}
+
+void sample_args(benchmark::internal::Benchmark* b) {
+  b->ArgName("two_decimal")->Arg(0)->Arg(1);
 }
 
 void BM_DoubleNativeCopy(benchmark::State& state) {
@@ -47,7 +70,7 @@ void BM_DoubleNativeCopy(benchmark::State& state) {
 BENCHMARK(BM_DoubleNativeCopy);
 
 void BM_DoubleToChars(benchmark::State& state) {
-  const auto values = sample_doubles(1024);
+  const auto values = sample_by_arg(state);
   char buf[64];
   for (auto _ : state) {
     for (const double v : values) {
@@ -58,7 +81,23 @@ void BM_DoubleToChars(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(values.size()));
 }
-BENCHMARK(BM_DoubleToChars);
+BENCHMARK(BM_DoubleToChars)->Apply(sample_args);
+
+// What the XML writer runs per double: the short-decimal fast path, with
+// to_chars as its fallback (always taken on full-precision values).
+void BM_DoubleFormat(benchmark::State& state) {
+  const auto values = sample_by_arg(state);
+  char buf[kMaxNumberChars];
+  for (auto _ : state) {
+    for (const double v : values) {
+      char* p = write_number(buf, v);
+      benchmark::DoNotOptimize(p);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_DoubleFormat)->Apply(sample_args);
 
 void BM_DoubleSnprintfEra(benchmark::State& state) {
   const auto values = sample_doubles(1024);
@@ -74,14 +113,14 @@ void BM_DoubleSnprintfEra(benchmark::State& state) {
 }
 BENCHMARK(BM_DoubleSnprintfEra);
 
-void BM_DoubleFromChars(benchmark::State& state) {
-  const auto values = sample_doubles(1024);
+std::vector<std::string> sample_texts(const benchmark::State& state) {
   std::vector<std::string> texts;
-  for (const double v : values) {
-    char buf[64];
-    auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    texts.emplace_back(buf, p);
-  }
+  for (const double v : sample_by_arg(state)) texts.push_back(format_double(v));
+  return texts;
+}
+
+void BM_DoubleFromChars(benchmark::State& state) {
+  const auto texts = sample_texts(state);
   for (auto _ : state) {
     for (const auto& t : texts) {
       double v;
@@ -93,7 +132,22 @@ void BM_DoubleFromChars(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(texts.size()));
 }
-BENCHMARK(BM_DoubleFromChars);
+BENCHMARK(BM_DoubleFromChars)->Apply(sample_args);
+
+// What the XML decoder runs per double: the short-decimal fast path, with
+// from_chars as its fallback (always taken on full-precision values).
+void BM_DoubleParse(benchmark::State& state) {
+  const auto texts = sample_texts(state);
+  for (auto _ : state) {
+    for (const auto& t : texts) {
+      const std::optional<double> v = parse_double(t);
+      benchmark::DoNotOptimize(v);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(texts.size()));
+}
+BENCHMARK(BM_DoubleParse)->Apply(sample_args);
 
 void BM_DoubleStrtodEra(benchmark::State& state) {
   const auto values = sample_doubles(1024);

@@ -9,8 +9,11 @@ namespace {
 
 template <typename T>
 std::optional<T> parse_via_from_chars(std::string_view s) {
-  if (s.empty()) return std::nullopt;
   T v{};
+  if constexpr (!std::is_same_v<T, float>) {
+    if (parse_short_decimal(s, v)) return v;
+  }
+  if (s.empty()) return std::nullopt;
   const char* first = s.data();
   const char* last = s.data() + s.size();
   // XML Schema allows a leading '+' which from_chars does not.

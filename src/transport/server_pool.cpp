@@ -346,13 +346,19 @@ void SoapServerPool::serve_connection(TcpStream stream) {
         }
       }
       // In-flight accounting for admission: one slot from here until the
-      // response (or shed fault) is written, end of this loop iteration.
+      // response (or shed fault) is about to be written. It is freed before
+      // the write, so a client holding its response finds the slot free.
       const std::size_t prior =
           inflight_exchanges_.fetch_add(1, std::memory_order_acq_rel);
-      struct InflightGuard {
+      struct InflightSlot {
         std::atomic<std::size_t>& n;
-        ~InflightGuard() { n.fetch_sub(1, std::memory_order_acq_rel); }
-      } inflight_guard{inflight_exchanges_};
+        bool held = true;
+        void release() {
+          if (held) n.fetch_sub(1, std::memory_order_acq_rel);
+          held = false;
+        }
+        ~InflightSlot() { release(); }
+      } inflight_slot{inflight_exchanges_};
       if (max_queue_depth_ > 0 && prior >= max_queue_depth_) {
         // The pool is past its in-flight bound: refuse this request with
         // the pre-encoded retryable Overloaded fault — in its own slot on
@@ -364,6 +370,7 @@ void SoapServerPool::serve_connection(TcpStream stream) {
         if (shed_ != nullptr) shed_->add();
         ++exchanges_;
         obs_.count_exchange();
+        inflight_slot.release();
         {
           obs::StageTimer t(obs_, obs::Stage::kFrameWrite);
           stream.write_all(shed_frame_);
@@ -466,6 +473,7 @@ void SoapServerPool::serve_connection(TcpStream stream) {
       // must observe the exchange as recorded.
       ++exchanges_;
       obs_.count_exchange();
+      inflight_slot.release();
       {
         obs::StageTimer t(obs_, obs::Stage::kFrameWrite);
         stream.write_all(out.bytes());

@@ -126,7 +126,8 @@ void append_scalar_text(std::string& out, const ScalarValue& v) {
         } else if constexpr (std::is_same_v<T, bool>) {
           out += x ? "true" : "false";
         } else {
-          append_atom_text(out, x);
+          char buf[kMaxNumberChars];
+          out.append(buf, write_atom_text(buf, x));
         }
       },
       v);

@@ -169,18 +169,17 @@ AtomType scalar_type(const ScalarValue& v);
 void append_scalar_text(std::string& out, const ScalarValue& v);
 std::string scalar_text(const ScalarValue& v);
 
-/// The text append_scalar_text writes for a packed value, appended to any
-/// sink numeric_text's append_* accept (numbers never need XML escaping).
-template <PackedAtomic T, typename Out>
-void append_atom_text(Out& out, T v) {
-  if constexpr (std::is_same_v<T, float>) {
-    append_float(out, v);
-  } else if constexpr (std::is_same_v<T, double>) {
-    append_double(out, v);
+/// Write the text append_scalar_text gives a packed value at `p`, which
+/// must have kMaxNumberChars of room (numbers never need XML escaping);
+/// returns the end.
+template <PackedAtomic T>
+char* write_atom_text(char* p, T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return write_number(p, v);
   } else if constexpr (std::is_signed_v<T>) {
-    append_int64(out, static_cast<std::int64_t>(v));
+    return write_number(p, static_cast<std::int64_t>(v));
   } else {
-    append_uint64(out, static_cast<std::uint64_t>(v));
+    return write_number(p, static_cast<std::uint64_t>(v));
   }
 }
 

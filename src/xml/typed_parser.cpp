@@ -49,9 +49,14 @@ class TypedReader final : public detail::XmlReader {
               auto array = std::make_unique<ArrayElement<T>>(element_name(tag));
               std::vector<T>& values = array->values();
               bool name_checked = false;
-              while (const auto text =
+              while (const auto item =
                          next_item(tag, shape.item_name, name_checked)) {
-                values.push_back(parse_atom<T>(*text));
+                T v;
+                if (!(item->number.valid &&
+                      short_decimal_value(item->number, v))) {
+                  v = parse_atom<T>(item->text);
+                }
+                values.push_back(v);
               }
               return array;
             });
@@ -125,29 +130,46 @@ class TypedReader final : public detail::XmlReader {
     }
   }
 
-  /// The text of the array's next item, skipping the whitespace, comments
-  /// and PIs allowed between items; nullopt once the array's end tag is
-  /// read. Items must follow detail::check_array_item's rule;
-  /// `name_checked` records that one item has passed it.
-  std::optional<std::string_view> next_item(
-      const StartTag& array, std::optional<std::string>& item_name,
-      bool& name_checked) {
+  /// An array item's text; `number` is valid when the text was scanned
+  /// as a short decimal on the way (the compact path), invalid otherwise.
+  struct Item {
+    std::string_view text;
+    ShortDecimal number;
+  };
+
+  /// The array's next item, skipping the whitespace, comments and PIs
+  /// allowed between items; nullopt once the array's end tag is read.
+  /// Items must follow detail::check_array_item's rule; `name_checked`
+  /// records that one item has passed it.
+  std::optional<Item> next_item(const StartTag& array,
+                                std::optional<std::string>& item_name,
+                                bool& name_checked) {
     if (array.self_closing) return std::nullopt;
     if (name_checked) {
       // The compact form write_xml() emits, <d>plain text</d>, read
-      // without the general path's name and end-tag scans. It needs an
+      // without the general path's name and end-tag scans, the number
+      // parsed as it is scanned for the end tag's '<'. It needs an
       // earlier item to have passed the general path, which proves the
       // name legal and the depth allowed. Anything else rewinds and takes
       // the general path below.
       const std::size_t item_start = pos_;
       if (take_tag("<", *item_name)) {
-        const std::size_t start = pos_;
-        while (!eof() && peek() != '<' && peek() != '&') ++pos_;
-        const std::string_view text = s_.substr(start, pos_ - start);
+        Item item;
+        const char* const start = s_.data() + pos_;
+        const char* const end = s_.data() + s_.size();
+        const char* p = scan_short_decimal(start, end, item.number);
+        if (p == end || *p != '<') {
+          item.number.valid = false;
+          while (p != end && *p != '<' && *p != '&') ++p;
+        }
+        pos_ = static_cast<std::size_t>(p - s_.data());
+        item.text =
+            std::string_view(start, static_cast<std::size_t>(p - start));
         if (take_tag("</", *item_name)) {
-          return opt_.ignore_whitespace && detail::all_ws(text)
-                     ? std::string_view()
-                     : text;
+          if (opt_.ignore_whitespace && detail::all_ws(item.text)) {
+            item.text = {};
+          }
+          return item;
         }
       }
       pos_ = item_start;
@@ -179,9 +201,9 @@ class TypedReader final : public detail::XmlReader {
       } else if (starts_with("<!")) {
         fail("unsupported markup declaration in content");
       } else {
-        const std::string_view text = read_item(item_name);
+        Item item{read_item(item_name), {}};
         name_checked = true;
-        return text;
+        return item;
       }
     }
   }

@@ -51,13 +51,25 @@ class ByteWriterText {
   explicit ByteWriterText(ByteWriter& w) : w_(w) {}
 
   ByteWriterText& operator+=(std::string_view s) {
-    if (room_ < s.size()) grow(s.size());
-    std::memcpy(cursor_, s.data(), s.size());
+    std::memcpy(claim(s.size()), s.data(), s.size());
     cursor_ += s.size();
     room_ -= s.size();
     return *this;
   }
   ByteWriterText& operator+=(char c) { return *this += std::string_view(&c, 1); }
+
+  /// Room for `n` bytes at the end of the text, written through the
+  /// returned cursor and handed back with commit().
+  char* claim(std::size_t n) {
+    if (room_ < n) grow(n);
+    return reinterpret_cast<char*>(cursor_);
+  }
+  void commit(char* end) {
+    const auto used =
+        static_cast<std::size_t>(end - reinterpret_cast<char*>(cursor_));
+    cursor_ += used;
+    room_ -= used;
+  }
 
   void finish() {
     w_.truncate(w_.size() - room_);
@@ -77,6 +89,18 @@ class ByteWriterText {
   std::uint8_t* cursor_ = nullptr;
   std::size_t room_ = 0;
 };
+
+/// ByteWriterText's claim/commit for a std::string sink.
+char* claim(std::string& out, std::size_t n) {
+  const std::size_t size = out.size();
+  out.resize(size + n);
+  return out.data() + size;
+}
+void commit(std::string& out, char* end) {
+  out.resize(static_cast<std::size_t>(end - out.data()));
+}
+char* claim(ByteWriterText& out, std::size_t n) { return out.claim(n); }
+void commit(ByteWriterText& out, char* end) { out.commit(end); }
 
 /// Serializes into `Out`: std::string (write_xml) or ByteWriterText.
 template <typename Out>
@@ -190,21 +214,38 @@ class Writer final : public NodeVisitor {
 
   /// The modern-formatting item loop: each number is formatted straight
   /// into out_ (numbers need no escaping), read from the packed bytes with
-  /// no per-item ScalarValue or temporary string.
+  /// no per-item ScalarValue or temporary string. Space for a block of
+  /// items is claimed at its worst-case length, so each item is written
+  /// through a raw cursor with no room check.
   template <PackedAtomic T>
   void append_items(const ArrayElementBase& e) {
-    const std::string open = '<' + e.item_name() + '>';
+    std::string open;  // indent_line()'s text, then the start tag
+    if (opt_.indent > 0) {
+      open += '\n';
+      open.append(static_cast<std::size_t>(depth_ * opt_.indent), ' ');
+    }
+    open += '<';
+    open += e.item_name();
+    open += '>';
     const std::string close = "</" + e.item_name() + '>';
+    const std::size_t worst = open.size() + kMaxNumberChars + close.size();
     const std::uint8_t* bytes = e.packed_bytes().data();
-    for (std::size_t i = 0; i < e.count(); ++i) {
-      T v;
-      std::memcpy(&v, bytes + i * sizeof(T), sizeof(T));
-      indent_line();
-      out_ += open;
-      append_atom_text(out_, v);
-      out_ += close;
+    const std::size_t count = e.count();
+    for (std::size_t i = 0; i < count;) {
+      const std::size_t block_end = std::min(count, i + kItemsPerClaim);
+      char* p = claim(out_, (block_end - i) * worst);
+      for (; i < block_end; ++i) {
+        T v;
+        std::memcpy(&v, bytes + i * sizeof(T), sizeof(T));
+        p = std::copy(open.begin(), open.end(), p);
+        p = write_atom_text(p, v);
+        p = std::copy(close.begin(), close.end(), p);
+      }
+      commit(out_, p);
     }
   }
+
+  static constexpr std::size_t kItemsPerClaim = 64;
 
   struct OpenTag {
     std::string lexical;  // the element's serialized name

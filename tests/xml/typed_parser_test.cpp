@@ -99,6 +99,34 @@ TEST(TypedParse, MarkupBetweenAndInsideArrayItems) {
   }
 }
 
+TEST(TypedParse, CompactItemTextsMatchTheOracle) {
+  // Items after the first take the compact path, which parses the number
+  // while it scans for the end tag; texts the short-decimal scan declines
+  // part way must still decode (or be rejected) as the oracle does.
+  const std::string_view texts[] = {
+      "287.45", "-0", "+5", "007", "1.", ".5", "-.5", "1e5", "1.5e-3", "inf",
+      "nan", "-", "+", "1.5.", "+-5", " 5", "5 ", "", "0.1", "-128", "-129",
+      "255", "256", "2147483648", "-2147483649", "4294967296",
+      "123456789012345", "1234567890123456", "12345678901234567890",
+      "9223372036854775808", "18446744073709551615", "5&#48;", "5<!--c-->0"};
+  for (std::string_view type :
+       {"byte", "unsignedByte", "short", "unsignedShort", "int",
+        "unsignedInt", "long", "unsignedLong", "float", "double"}) {
+    for (std::string_view t : texts) {
+      const std::string text =
+          array_doc(type, "<d>1</d><d>" + std::string(t) + "</d><d>2</d>");
+      typed_parse_matches_oracle(text);
+      ParseOptions ignore_ws;
+      ignore_ws.ignore_whitespace = true;
+      typed_parse_matches_oracle(text, ignore_ws);
+    }
+  }
+  EXPECT_TRUE(typed_parse_matches_oracle(
+      array_doc("double", "<d>1</d><d>287.45</d><d>-0</d><d>1e5</d>")));
+  EXPECT_FALSE(typed_parse_matches_oracle(
+      array_doc("byte", "<d>1</d><d>128</d>")));
+}
+
 TEST(TypedParse, LeafTextWithReferencesCdataAndComments) {
   struct Case {
     std::string_view type;
