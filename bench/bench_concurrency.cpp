@@ -1,6 +1,8 @@
 // Concurrency shoot-out: thread-per-connection pool vs the sharded epoll
-// event server, same encoding, same handler, same clients — plus a c10k
-// saturation ladder that only the event server can attempt.
+// event server in both dispatch modes (run-to-completion on the reactors,
+// the default, and a worker pool of one worker per core), same encoding,
+// same handler, same clients — plus a c10k saturation ladder that only
+// the event server can attempt.
 //
 // Two client drivers:
 //
@@ -319,7 +321,7 @@ int main(int argc, char** argv) {
   obs::Registry registry;
   bench::Table table({"server", "clients", "threads", "ops/s", "p50 ms",
                       "p95 ms", "p99 ms", "max ms"},
-                     12);
+                     14);
   std::printf("bench_concurrency: %zu ops per leg, %zu leads per request%s\n",
               total_ops, kLeads, short_mode ? " (short mode)" : "");
   if (reactors_override != 0) {
@@ -328,23 +330,31 @@ int main(int argc, char** argv) {
   }
   table.print_header();
 
-  // Both legs run through the unified SoapServer::create surface; the
-  // concurrency model is the loop variable, not a code path.
+  // Every leg runs through the unified SoapServer::create surface; the
+  // concurrency model and the dispatch mode are loop variables, not code
+  // paths.
   struct Leg {
     ConcurrencyModel model;
     const char* name;
+    const char* prefix;
+    std::size_t workers;  // event server: 0 = run inline on the reactors
   };
-  constexpr Leg kLegs[] = {
-      {ConcurrencyModel::kThreadPerConnection, "pool"},  // threads == clients
-      {ConcurrencyModel::kEventLoop, "event"},  // threads bounded by cores
+  const Leg legs[] = {
+      // threads == clients
+      {ConcurrencyModel::kThreadPerConnection, "pool", "pool", 0},
+      // threads == reactors, bounded by cores
+      {ConcurrencyModel::kEventLoop, "event", "event", 0},
+      // reactors + one worker per core
+      {ConcurrencyModel::kEventLoop, "event+workers", "event_workers", nproc},
   };
   for (const std::size_t clients : ladder) {
-    for (const Leg& leg : kLegs) {
+    for (const Leg& leg : legs) {
       const std::string prefix =
-          std::string(leg.name) + ".c" + std::to_string(clients);
+          std::string(leg.prefix) + ".c" + std::to_string(clients);
       ServerConfig cfg = make_config(registry, prefix);
       if (leg.model == ConcurrencyModel::kEventLoop) {
         cfg.reactor_threads = reactors_override;
+        cfg.worker_threads = leg.workers;
       }
       auto server = SoapServer::create(leg.model, std::move(cfg));
       LegResult r = drive_clients(server->port(), clients, total_ops);

@@ -28,6 +28,7 @@ constexpr std::size_t kStreamQueueDepth = 1;
 SoapEventServer::SoapEventServer(ServerConfig config)
     : encoding_(std::move(config.encoding)),
       handler_(std::move(config.handler)),
+      run_inline_(config.worker_threads == 0),
       stream_handler_(std::move(config.stream_handler)),
       stream_chunk_bytes_(config.stream_chunk_bytes),
       buffer_pool_(config.buffer_pool),
@@ -139,12 +140,9 @@ SoapEventServer::SoapEventServer(ServerConfig config)
     reactors_.push_back(std::move(r));
   }
 
-  std::size_t n = config.worker_threads;
-  if (n == 0) {
-    n = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  // No pool at all when exchanges run inline on their reactors.
+  workers_.reserve(config.worker_threads);
+  for (std::size_t i = 0; i < config.worker_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
   for (auto& r : reactors_) {
@@ -396,7 +394,7 @@ void SoapEventServer::shed(const std::shared_ptr<Conn>& conn,
   if (shed_ != nullptr) shed_->add();
   ByteWriter out(buffer_pool_.acquire(shed_frame_.size()));
   out.write_bytes(shed_frame_.data(), shed_frame_.size());
-  complete(conn, seq, out.take());
+  if (complete(conn, seq, out.take())) conn->flush_pending = true;
 }
 
 void SoapEventServer::park_for_queue(const std::shared_ptr<Conn>& conn) {
@@ -472,185 +470,236 @@ void SoapEventServer::read_ready(const std::shared_ptr<Conn>& conn) {
       return;
     }
     conn->last_activity = std::chrono::steady_clock::now();
+    bool more = false;
     try {
-      obs::StageTimer frame_timer(obs_, obs::Stage::kFrameRead);
-      if (!pump(conn, std::span<const std::uint8_t>(buf, *r))) {
-        return;  // in-queue full: parked mid-buffer, remainder stashed
-      }
+      more = pump(conn, std::span<const std::uint8_t>(buf, *r),
+                  conn->last_activity);
     } catch (const TransportError&) {
       // Malformed or over-limit frame: the byte stream cannot be trusted
       // past this point; cut the connection (same as the pool).
       drop(conn);
       return;
     }
+    // Responses served inline (and sheds) leave before the next read.
+    if (!flush_if_pending(conn)) return;
+    if (!more) return;  // in-queue full: parked mid-buffer, remainder stashed
   }
 }
 
-/// Feed bytes through the assembler, dispatching completed v1 frames to
-/// the worker queue and v2 chunks to the connection's stream. Returns
-/// false when the stream in-queue filled: the unconsumed remainder is
-/// stashed in stream_backlog and EPOLLIN is parked until the stream
-/// thread frees room.
+bool SoapEventServer::flush_if_pending(const std::shared_ptr<Conn>& conn) {
+  if (!conn->flush_pending) return true;
+  conn->flush_pending = false;
+  return flush(conn);
+}
+
+/// Feed bytes through the assembler, dispatching completed v1/v3 requests
+/// (served inline or queued to the workers) and v2 chunks to the
+/// connection's stream. Returns false when the stream in-queue filled: the
+/// unconsumed remainder is stashed in stream_backlog and EPOLLIN is parked
+/// until the stream thread frees room. Runs on the owning reactor; the
+/// caller flushes what it leaves pending (flush_if_pending).
 bool SoapEventServer::pump(const std::shared_ptr<Conn>& conn,
-                           std::span<const std::uint8_t> data) {
+                           std::span<const std::uint8_t> data,
+                           std::chrono::steady_clock::time_point arrived) {
   for (;;) {
-    const std::size_t used = conn->assembler.feed(data);
-    data = data.subspan(used);
-    if (conn->assembler.hello_ready()) {
-      // BXTP v3 handshake (FORMAT.md §"BXTP v3"). A Hello is only legal as
-      // the connection's first frame — the Accept bypasses the response
-      // sequencing (it answers no request), so nothing may be in flight.
-      const HelloFrame hello = conn->assembler.take_hello();
-      if (conn->v3 || conn->next_seq != 0) {
-        throw TransportError("Hello on a connection already in use");
-      }
-      AcceptFrame accept;
-      if (hello.max_version >= kFrameVersionNegotiated) {
-        // Effective table: the element-wise min of both offers — forced to
-        // empty when this server's payloads are not plain BXSA, so the
-        // client never dictionary-codes at us in vain.
-        bxsa::DictLimits eff{0, 0};
-        if (dict_capable_) {
-          eff = dict_limits_.min_with(
-              {hello.dict_max_entries, hello.dict_max_bytes});
-        }
-        accept.version = kFrameVersionNegotiated;
-        accept.dict_max_entries = eff.max_entries;
-        accept.dict_max_bytes = eff.max_bytes;
-        // Transform set: the intersection of both offers. The assembler
-        // decompresses incoming chunks itself, so it learns the set too.
-        accept.transforms = compress_transforms_ & hello.transforms;
-        conn->transforms = accept.transforms;
-        conn->assembler.set_transforms(accept.transforms);
-        // Stream authentication: the intersection of both offers; the
-        // effective algorithm is its lowest set bit. The assembler owns
-        // the receive side — it absorbs surfaced chunks and verifies the
-        // Auth trailer in wire order on this (the owning) reactor.
-        accept.auth = stream_auth_
-                          ? (stream_auth_.algos & hello.auth)
-                          : std::uint8_t{0};
-        conn->auth_algo = authalgs::pick(accept.auth);
-        if (conn->auth_algo != 0) {
-          conn->rx_auth = stream_auth_.make(conn->auth_algo);
-          if (conn->rx_auth == nullptr) {
-            throw TransportError(
-                "stream auth cannot build the negotiated algorithm");
+    soap::WireMessage request;
+    {
+      // The frame_read stage: socket bytes to one assembled, canonical
+      // request. It stops before admission, so an exchange served inline
+      // is timed by its own stages, not billed to frame reading.
+      obs::StageTimer frame_timer(obs_, obs::Stage::kFrameRead);
+      for (;;) {
+        data = data.subspan(conn->assembler.feed(data));
+        if (conn->assembler.hello_ready()) {
+          answer_hello(conn);
+        } else if (conn->assembler.chunk_ready()) {
+          if (!on_stream_chunk(conn)) {
+            conn->stream_backlog.assign(data.begin(), data.end());
+            return false;
           }
-          conn->assembler.set_auth(conn->rx_auth.get(), conn->auth_algo,
-                                   auth_stats_);
+        } else if (conn->assembler.ready()) {
+          break;
+        } else if (data.empty()) {
+          return true;
         }
-        conn->v3 = true;
-        if (eff.max_entries > 0) {
-          conn->req_dict.emplace(eff);
-          conn->resp_dict.emplace(eff);
-        }
-      } else {
-        // The peer probed with v3 framing but cannot speak it; answer
-        // with v1 and keep serving plain frames.
-        accept.version = kFrameVersion;
       }
-      ByteWriter reply(buffer_pool_.acquire(64));
-      encode_accept(reply, accept);
-      {
-        std::lock_guard lock(conn->mu);
-        conn->outbox.push_back(reply.take());
-      }
-      flush(conn);
-      continue;
+      request = take_request(conn);
     }
-    if (conn->assembler.ready()) {
-      // Flags are latched before take() resets the assembler's state.
-      const std::uint8_t req_flags = conn->assembler.frame_flags();
-      soap::WireMessage request = conn->assembler.take();
-      // Decode order is the reverse of encode order (dict then compress):
-      // decompress first, so the dictionary — and the response cache — see
-      // canonical bytes. Throws when the peer never negotiated transforms.
-      if ((req_flags & v3flags::kCompressed) != 0) {
-        request.payload = decompress_frame_payload(std::move(request.payload),
-                                                   conn->transforms,
-                                                   frame_limits_, buffer_pool_);
-      }
-      if ((req_flags & v3flags::kDictEncoded) != 0) {
-        if (!conn->req_dict) {
-          throw TransportError(
-              "dictionary-coded message without a negotiated table");
-        }
-        // Frames leave the assembler in wire order on this (the owning)
-        // reactor — exactly the order the mirrored table requires, and
-        // before the request's arrival order is handed to the workers.
-        ByteWriter plain(buffer_pool_.acquire(request.payload.size() + 64));
-        try {
-          conn->req_dict->decode(request.payload,
-                                 (req_flags & v3flags::kDictReset) != 0,
-                                 plain, dict_stats_);
-        } catch (const DecodeError& e) {
-          // A mirror desync poisons every later message on this channel;
-          // strict validation cuts the connection (FORMAT.md "BXTP v3").
-          throw TransportError(std::string("dictionary decode failed: ") +
-                               e.what());
-        }
-        buffer_pool_.release(std::move(request.payload));
-        request.payload = plain.take();
-      }
-      const std::uint64_t seq = conn->next_seq++;
-      std::size_t inflight_now = 0;
-      {
-        std::lock_guard lock(conn->mu);
-        ++conn->inflight;
-        inflight_now = conn->inflight;
-        // A second request arriving before the first response left is
-        // the pipelining case the thread-per-connection pool can't do.
-        if (pipelined_ != nullptr &&
-            (conn->inflight > 1 || !conn->outbox.empty() ||
-             !conn->completed.empty() || !conn->streams.empty())) {
-          pipelined_->add();
-        }
-      }
-      // Admission control. A connection past its pipelining allowance is
-      // shed outright; a request against a full queue is shed AND the
-      // connection parked (the frames being shed were already read — the
-      // park stops the next ones at the kernel's TCP window instead).
-      if (max_inflight_per_conn_ > 0 &&
-          inflight_now > max_inflight_per_conn_) {
-        shed(conn, seq, std::move(request));
-        continue;
-      }
-      bool admitted = true;
-      bool queue_full = false;
-      {
-        std::lock_guard lock(jobs_mu_);
-        if (max_queue_depth_ > 0 && jobs_.size() >= max_queue_depth_) {
-          admitted = false;
-        } else {
-          jobs_.push_back(Job{conn, seq, std::move(request),
-                              std::chrono::steady_clock::now()});
-          queue_depth_.store(jobs_.size(), std::memory_order_release);
-          if (queue_depth_gauge_ != nullptr) {
-            queue_depth_gauge_->set(static_cast<std::int64_t>(jobs_.size()));
-          }
-          if (queue_waterline_ != nullptr) queue_waterline_->add(1);
-          queue_full =
-              max_queue_depth_ > 0 && jobs_.size() >= max_queue_depth_;
-        }
-      }
-      if (admitted) {
-        jobs_cv_.notify_one();
-      } else {
-        shed(conn, seq, std::move(request));
-        queue_full = true;
-      }
-      if (queue_full) park_for_queue(conn);
-      continue;
-    }
-    if (conn->assembler.chunk_ready()) {
-      if (!on_stream_chunk(conn)) {
-        conn->stream_backlog.assign(data.begin(), data.end());
-        return false;
-      }
-      continue;
-    }
+    admit(conn, std::move(request), arrived);
+    // take() left the assembler empty, so no more input means no frame.
     if (data.empty()) return true;
   }
+}
+
+void SoapEventServer::answer_hello(const std::shared_ptr<Conn>& conn) {
+  // BXTP v3 handshake (FORMAT.md §"BXTP v3"). A Hello is only legal as the
+  // connection's first frame — the Accept bypasses the response sequencing
+  // (it answers no request), so nothing may be in flight.
+  const HelloFrame hello = conn->assembler.take_hello();
+  if (conn->v3 || conn->next_seq != 0) {
+    throw TransportError("Hello on a connection already in use");
+  }
+  AcceptFrame accept;
+  if (hello.max_version >= kFrameVersionNegotiated) {
+    // Effective table: the element-wise min of both offers — forced to
+    // empty when this server's payloads are not plain BXSA, so the client
+    // never dictionary-codes at us in vain.
+    bxsa::DictLimits eff{0, 0};
+    if (dict_capable_) {
+      eff = dict_limits_.min_with(
+          {hello.dict_max_entries, hello.dict_max_bytes});
+    }
+    accept.version = kFrameVersionNegotiated;
+    accept.dict_max_entries = eff.max_entries;
+    accept.dict_max_bytes = eff.max_bytes;
+    // Transform set: the intersection of both offers. The assembler
+    // decompresses incoming chunks itself, so it learns the set too.
+    accept.transforms = compress_transforms_ & hello.transforms;
+    conn->transforms = accept.transforms;
+    conn->assembler.set_transforms(accept.transforms);
+    // Stream authentication: the intersection of both offers; the
+    // effective algorithm is its lowest set bit. The assembler owns the
+    // receive side — it absorbs surfaced chunks and verifies the Auth
+    // trailer in wire order on this (the owning) reactor.
+    accept.auth =
+        stream_auth_ ? (stream_auth_.algos & hello.auth) : std::uint8_t{0};
+    conn->auth_algo = authalgs::pick(accept.auth);
+    if (conn->auth_algo != 0) {
+      conn->rx_auth = stream_auth_.make(conn->auth_algo);
+      if (conn->rx_auth == nullptr) {
+        throw TransportError(
+            "stream auth cannot build the negotiated algorithm");
+      }
+      conn->assembler.set_auth(conn->rx_auth.get(), conn->auth_algo,
+                               auth_stats_);
+    }
+    conn->v3 = true;
+    if (eff.max_entries > 0) {
+      conn->req_dict.emplace(eff);
+      conn->resp_dict.emplace(eff);
+    }
+  } else {
+    // The peer probed with v3 framing but cannot speak it; answer with v1
+    // and keep serving plain frames.
+    accept.version = kFrameVersion;
+  }
+  ByteWriter reply(buffer_pool_.acquire(64));
+  encode_accept(reply, accept);
+  {
+    std::lock_guard lock(conn->mu);
+    conn->outbox.push_back(reply.take());
+  }
+  conn->flush_pending = true;
+}
+
+soap::WireMessage SoapEventServer::take_request(
+    const std::shared_ptr<Conn>& conn) {
+  // Flags are latched before take() resets the assembler's state.
+  const std::uint8_t req_flags = conn->assembler.frame_flags();
+  soap::WireMessage request = conn->assembler.take();
+  // Decode order is the reverse of encode order (dict then compress):
+  // decompress first, so the dictionary — and the response cache — see
+  // canonical bytes. Throws when the peer never negotiated transforms.
+  if ((req_flags & v3flags::kCompressed) != 0) {
+    request.payload = decompress_frame_payload(std::move(request.payload),
+                                               conn->transforms,
+                                               frame_limits_, buffer_pool_);
+  }
+  if ((req_flags & v3flags::kDictEncoded) != 0) {
+    if (!conn->req_dict) {
+      throw TransportError(
+          "dictionary-coded message without a negotiated table");
+    }
+    // Frames leave the assembler in wire order on this (the owning)
+    // reactor — exactly the order the mirrored table requires, and before
+    // the request's arrival order is handed to any worker.
+    ByteWriter plain(buffer_pool_.acquire(request.payload.size() + 64));
+    try {
+      conn->req_dict->decode(request.payload,
+                             (req_flags & v3flags::kDictReset) != 0, plain,
+                             dict_stats_);
+    } catch (const DecodeError& e) {
+      // A mirror desync poisons every later message on this channel;
+      // strict validation cuts the connection (FORMAT.md "BXTP v3").
+      throw TransportError(std::string("dictionary decode failed: ") +
+                           e.what());
+    }
+    buffer_pool_.release(std::move(request.payload));
+    request.payload = plain.take();
+  }
+  return request;
+}
+
+void SoapEventServer::admit(const std::shared_ptr<Conn>& conn,
+                            soap::WireMessage request,
+                            std::chrono::steady_clock::time_point arrived) {
+  const std::uint64_t seq = conn->next_seq++;
+  std::size_t inflight_now = 0;
+  {
+    std::lock_guard lock(conn->mu);
+    ++conn->inflight;
+    inflight_now = conn->inflight;
+    // A second request arriving before the first response left is the
+    // pipelining case the thread-per-connection pool can't do.
+    if (pipelined_ != nullptr &&
+        (conn->inflight > 1 || !conn->outbox.empty() ||
+         !conn->completed.empty() || !conn->streams.empty())) {
+      pipelined_->add();
+    }
+  }
+  if (run_inline_) {
+    // Run to completion on this reactor. The exchange is resident (read,
+    // not yet served) until complete() commits its response; past
+    // max_queue_depth such exchanges across all reactors, shed. Nothing
+    // parks: while it serves, this reactor is not reading anyway.
+    const std::size_t depth =
+        queue_depth_.fetch_add(1, std::memory_order_acq_rel);
+    if (max_queue_depth_ > 0 && depth >= max_queue_depth_) {
+      queue_depth_.fetch_sub(1, std::memory_order_acq_rel);
+      shed(conn, seq, std::move(request));
+      return;
+    }
+    if (queue_depth_gauge_ != nullptr) queue_depth_gauge_->add();
+    if (queue_waterline_ != nullptr) queue_waterline_->add(1);
+    if (serve(Job{conn, seq, std::move(request), arrived})) {
+      conn->flush_pending = true;
+    }
+    queue_depth_.fetch_sub(1, std::memory_order_acq_rel);
+    if (queue_depth_gauge_ != nullptr) queue_depth_gauge_->sub();
+    if (queue_waterline_ != nullptr) queue_waterline_->sub(1);
+    return;
+  }
+  // Worker pool. A connection past its pipelining allowance is shed
+  // outright; a request against a full queue is shed AND the connection
+  // parked (the frames being shed were already read — the park stops the
+  // next ones at the kernel's TCP window instead).
+  if (max_inflight_per_conn_ > 0 && inflight_now > max_inflight_per_conn_) {
+    shed(conn, seq, std::move(request));
+    return;
+  }
+  bool admitted = true;
+  bool queue_full = false;
+  {
+    std::lock_guard lock(jobs_mu_);
+    if (max_queue_depth_ > 0 && jobs_.size() >= max_queue_depth_) {
+      admitted = false;
+    } else {
+      jobs_.push_back(Job{conn, seq, std::move(request), arrived});
+      queue_depth_.store(jobs_.size(), std::memory_order_release);
+      if (queue_depth_gauge_ != nullptr) {
+        queue_depth_gauge_->set(static_cast<std::int64_t>(jobs_.size()));
+      }
+      if (queue_waterline_ != nullptr) queue_waterline_->add(1);
+      queue_full = max_queue_depth_ > 0 && jobs_.size() >= max_queue_depth_;
+    }
+  }
+  if (admitted) {
+    jobs_cv_.notify_one();
+  } else {
+    shed(conn, seq, std::move(request));
+    queue_full = true;
+  }
+  if (queue_full) park_for_queue(conn);
 }
 
 /// Route one assembled chunk into the connection's stream. Returns false
@@ -718,13 +767,15 @@ void SoapEventServer::resume_stream_read(const std::shared_ptr<Conn>& conn) {
   conn->last_activity = std::chrono::steady_clock::now();
   std::vector<std::uint8_t> backlog = std::move(conn->stream_backlog);
   conn->stream_backlog = {};
+  bool more = false;
   try {
-    obs::StageTimer frame_timer(obs_, obs::Stage::kFrameRead);
-    if (!pump(conn, backlog)) return;  // re-parked; remainder re-stashed
+    more = pump(conn, backlog, conn->last_activity);
   } catch (const TransportError&) {
     drop(conn);
     return;
   }
+  if (!flush_if_pending(conn)) return;
+  if (!more) return;  // re-parked; remainder re-stashed
   // Level-triggered epoll re-reports whatever the kernel buffered while
   // the tap was closed. The worker queue may have filled meanwhile —
   // respect its park.
@@ -734,12 +785,12 @@ void SoapEventServer::resume_stream_read(const std::shared_ptr<Conn>& conn) {
                     conn->want_write));
 }
 
-void SoapEventServer::flush(const std::shared_ptr<Conn>& conn) {
+bool SoapEventServer::flush(const std::shared_ptr<Conn>& conn) {
   bool should_drop = false;
   std::vector<std::shared_ptr<StreamState>> finished;  // joined outside mu
   {
     std::lock_guard lock(conn->mu);
-    if (conn->dead) return;
+    if (conn->dead) return false;
     bool blocked = false;
     try {
       for (;;) {
@@ -883,6 +934,7 @@ void SoapEventServer::flush(const std::shared_ptr<Conn>& conn) {
     if (st->thread.joinable()) st->thread.join();
   }
   if (should_drop) drop(conn);
+  return !should_drop;
 }
 
 void SoapEventServer::drop(const std::shared_ptr<Conn>& conn) {
@@ -993,122 +1045,122 @@ void SoapEventServer::worker_loop() {
       // reactor re-checks its parked set on the next pass.
       for (auto& r : reactors_) r->wakeup.signal();
     }
+    const std::shared_ptr<Conn> conn = job.conn;
+    if (serve(std::move(job))) request_flush(conn);
+  }
+}
 
-    // Safe to read off-reactor: set while handling the Hello, before any
-    // request of the connection could be queued (the jobs_mu_ handoff
-    // orders the write against this read).
-    const bool v3 = job.conn->v3;
-    // Idempotent-response cache: a byte-identical repeat of a declared
-    // idempotent request is answered straight from the cached canonical
-    // payload — no deserialize, no handler, no serialize. The job already
-    // passed admission (it was queued), so only the CPU work is skipped.
-    if (respcache_) {
-      if (ResponseCache::Payload hit = respcache_->lookup(
-              encoding_->content_type(), job.request.payload)) {
-        buffer_pool_.release(std::move(job.request.payload));
-        ByteWriter out(buffer_pool_.acquire(hit->size() + 64));
-        if (v3) {
-          // Canonical payload; the owning reactor frames (and dictionary-
-          // codes) it in wire order at release time.
-          out.write_bytes(*hit);
-          complete(job.conn, job.seq, out.take(), /*framed=*/false);
-        } else {
-          const std::size_t len_pos =
-              begin_frame(out, encoding_->content_type());
-          out.write_bytes(*hit);
-          end_frame(out, len_pos);
-          complete(job.conn, job.seq, out.take());
-        }
-        continue;
+bool SoapEventServer::serve(Job job) {
+  // Safe to read off-reactor: set while handling the Hello, before any
+  // request of the connection could be queued (the jobs_mu_ handoff orders
+  // the write against a worker's read; inline, it is the same thread).
+  const bool v3 = job.conn->v3;
+  // Idempotent-response cache: a byte-identical repeat of a declared
+  // idempotent request is answered straight from the cached canonical
+  // payload — no deserialize, no handler, no serialize. The job already
+  // passed admission, so only the CPU work is skipped.
+  if (respcache_) {
+    if (ResponseCache::Payload hit = respcache_->lookup(
+            encoding_->content_type(), job.request.payload)) {
+      buffer_pool_.release(std::move(job.request.payload));
+      ByteWriter out(buffer_pool_.acquire(hit->size() + 64));
+      if (v3) {
+        // Canonical payload; the owning reactor frames (and dictionary-
+        // codes) it in wire order at release time.
+        out.write_bytes(*hit);
+        return complete(job.conn, job.seq, out.take(), /*framed=*/false);
       }
-    }
-    // Hoisted out of the handler lambda: the request's wire bytes stay
-    // alive through the exchange (the decoded tree views them anyway), so
-    // a cacheable response can be inserted under its request key.
-    SharedBuffer wire;
-    bool cacheable = false;
-    soap::SoapEnvelope response = [&]() -> soap::SoapEnvelope {
-      try {
-        soap::SoapEnvelope request = [&] {
-          obs_.stage_bytes(obs::Stage::kDeserialize, job.request.payload.size());
-          obs::StageTimer t(obs_, obs::Stage::kDeserialize);
-          // Adopting the payload keeps the PR 3 zero-copy path: packed
-          // arrays decode as views, and the wire buffer recycles into the
-          // pool when the request tree drops its last reference.
-          wire = SharedBuffer::adopt(std::move(job.request.payload),
-                                     &buffer_pool_);
-          return soap::SoapEnvelope(encoding_->deserialize_shared(wire));
-        }();
-        cacheable = respcache_.has_value() &&
-                    idempotent_ops_.contains(operation_name(request));
-        // Deadline propagation: the client's remaining budget, stamped as
-        // a relative header and interpreted against OUR enqueue clock (no
-        // clock sync assumed). A job whose budget expired while it queued
-        // is dropped before the handler runs — the caller has already
-        // given up, so the work would be wasted either way.
-        std::optional<std::chrono::steady_clock::time_point> deadline;
-        if (const auto budget = soap::get_deadline(request)) {
-          deadline = job.enqueued + *budget;
-        }
-        if (deadline.has_value() &&
-            std::chrono::steady_clock::now() >= *deadline) {
-          if (expired_ != nullptr) expired_->add();
-          return soap::SoapEnvelope::make_fault(
-              {std::string(soap::kServerFaultCode),
-               std::string(soap::kDeadlineExpiredReason), ""});
-        }
-        soap::DeadlineScope scope(deadline);
-        obs::StageTimer t(obs_, obs::Stage::kHandler);
-        return handler_(std::move(request));
-      } catch (const SoapFaultError& e) {
-        return soap::SoapEnvelope::make_fault({e.code(), e.reason(), ""});
-      } catch (const DecodeError& e) {
-        // The peer sent bytes we could not decode — the client's fault,
-        // answered in-band; the connection stays up.
-        return soap::SoapEnvelope::make_fault({"soap:Client", e.what(), ""});
-      } catch (const std::exception& e) {
-        return soap::SoapEnvelope::make_fault({"soap:Server", e.what(), ""});
-      }
-    }();
-    if (response.is_fault()) {
-      ++faults_;
-      obs_.count_fault();
-    }
-    // One pooled buffer per response. v1: BXTP header reserved up front
-    // and backpatched, so the reactor writes header + payload as one
-    // unit. v3: the buffer holds the canonical (pre-dictionary) payload —
-    // the frame is added by the owning reactor in wire order, which is
-    // the order the response dictionary must see.
-    ByteWriter out(buffer_pool_.acquire(256));
-    if (!v3) {
       const std::size_t len_pos = begin_frame(out, encoding_->content_type());
-      {
-        obs::StageTimer t(obs_, obs::Stage::kSerialize);
-        encoding_->serialize_into(response.document(), out);
-      }
+      out.write_bytes(*hit);
       end_frame(out, len_pos);
-      obs_.stage_bytes(obs::Stage::kSerialize, out.size() - len_pos - 8);
-      if (cacheable && !response.is_fault()) {
-        const auto payload = out.bytes().subspan(len_pos + 8);
-        respcache_->insert(encoding_->content_type(), wire.bytes(),
-                           std::make_shared<const std::vector<std::uint8_t>>(
-                               payload.begin(), payload.end()));
-      }
-      complete(job.conn, job.seq, out.take());
-    } else {
-      {
-        obs::StageTimer t(obs_, obs::Stage::kSerialize);
-        encoding_->serialize_into(response.document(), out);
-      }
-      obs_.stage_bytes(obs::Stage::kSerialize, out.size());
-      if (cacheable && !response.is_fault()) {
-        respcache_->insert(encoding_->content_type(), wire.bytes(),
-                           std::make_shared<const std::vector<std::uint8_t>>(
-                               out.bytes().begin(), out.bytes().end()));
-      }
-      complete(job.conn, job.seq, out.take(), /*framed=*/false);
+      return complete(job.conn, job.seq, out.take());
     }
   }
+  // Hoisted out of the handler lambda: the request's wire bytes stay
+  // alive through the exchange (the decoded tree views them anyway), so
+  // a cacheable response can be inserted under its request key.
+  SharedBuffer wire;
+  bool cacheable = false;
+  soap::SoapEnvelope response = [&]() -> soap::SoapEnvelope {
+    try {
+      soap::SoapEnvelope request = [&] {
+        obs_.stage_bytes(obs::Stage::kDeserialize, job.request.payload.size());
+        obs::StageTimer t(obs_, obs::Stage::kDeserialize);
+        // Adopting the payload keeps the zero-copy path (DESIGN §9): packed
+        // arrays decode as views, and the wire buffer recycles into the
+        // pool when the request tree drops its last reference.
+        wire = SharedBuffer::adopt(std::move(job.request.payload),
+                                   &buffer_pool_);
+        return soap::SoapEnvelope(encoding_->deserialize_shared(wire));
+      }();
+      cacheable = respcache_.has_value() &&
+                  idempotent_ops_.contains(operation_name(request));
+      // Deadline propagation: the client's remaining budget, stamped as
+      // a relative header and interpreted against OUR arrival clock (no
+      // clock sync assumed). A job whose budget expired while it waited
+      // is dropped before the handler runs — the caller has already
+      // given up, so the work would be wasted either way.
+      std::optional<std::chrono::steady_clock::time_point> deadline;
+      if (const auto budget = soap::get_deadline(request)) {
+        deadline = job.arrived + *budget;
+      }
+      if (deadline.has_value() &&
+          std::chrono::steady_clock::now() >= *deadline) {
+        if (expired_ != nullptr) expired_->add();
+        return soap::SoapEnvelope::make_fault(
+            {std::string(soap::kServerFaultCode),
+             std::string(soap::kDeadlineExpiredReason), ""});
+      }
+      soap::DeadlineScope scope(deadline);
+      obs::StageTimer t(obs_, obs::Stage::kHandler);
+      return handler_(std::move(request));
+    } catch (const SoapFaultError& e) {
+      return soap::SoapEnvelope::make_fault({e.code(), e.reason(), ""});
+    } catch (const DecodeError& e) {
+      // The peer sent bytes we could not decode — the client's fault,
+      // answered in-band; the connection stays up.
+      return soap::SoapEnvelope::make_fault({"soap:Client", e.what(), ""});
+    } catch (const std::exception& e) {
+      return soap::SoapEnvelope::make_fault({"soap:Server", e.what(), ""});
+    }
+  }();
+  if (response.is_fault()) {
+    ++faults_;
+    obs_.count_fault();
+  }
+  // One pooled buffer per response. v1: BXTP header reserved up front
+  // and backpatched, so the reactor writes header + payload as one
+  // unit. v3: the buffer holds the canonical (pre-dictionary) payload —
+  // the frame is added by the owning reactor in wire order, which is
+  // the order the response dictionary must see.
+  ByteWriter out(buffer_pool_.acquire(256));
+  if (!v3) {
+    const std::size_t len_pos = begin_frame(out, encoding_->content_type());
+    {
+      obs::StageTimer t(obs_, obs::Stage::kSerialize);
+      encoding_->serialize_into(response.document(), out);
+    }
+    end_frame(out, len_pos);
+    obs_.stage_bytes(obs::Stage::kSerialize, out.size() - len_pos - 8);
+    if (cacheable && !response.is_fault()) {
+      const auto payload = out.bytes().subspan(len_pos + 8);
+      respcache_->insert(encoding_->content_type(), wire.bytes(),
+                         std::make_shared<const std::vector<std::uint8_t>>(
+                             payload.begin(), payload.end()));
+    }
+    return complete(job.conn, job.seq, out.take());
+  }
+  {
+    obs::StageTimer t(obs_, obs::Stage::kSerialize);
+    encoding_->serialize_into(response.document(), out);
+  }
+  obs_.stage_bytes(obs::Stage::kSerialize, out.size());
+  if (cacheable && !response.is_fault()) {
+    respcache_->insert(encoding_->content_type(), wire.bytes(),
+                       std::make_shared<const std::vector<std::uint8_t>>(
+                           out.bytes().begin(), out.bytes().end()));
+  }
+  return complete(job.conn, job.seq, out.take(), /*framed=*/false);
 }
 
 void SoapEventServer::release_ready_locked(Conn& conn) {
@@ -1144,23 +1196,19 @@ void SoapEventServer::release_ready_locked(Conn& conn) {
   }
 }
 
-void SoapEventServer::complete(const std::shared_ptr<Conn>& conn,
+bool SoapEventServer::complete(const std::shared_ptr<Conn>& conn,
                                std::uint64_t seq,
                                std::vector<std::uint8_t> frame, bool framed) {
-  bool notify = false;
-  {
-    std::lock_guard lock(conn->mu);
-    if (conn->dead) {
-      buffer_pool_.release(std::move(frame));
-      if (conn->inflight > 0) --conn->inflight;
-      return;
-    }
-    conn->completed.emplace(seq, Completed{std::move(frame), framed});
-    const std::size_t before = conn->outbox.size();
-    release_ready_locked(*conn);
-    notify = conn->outbox.size() != before;
+  std::lock_guard lock(conn->mu);
+  if (conn->dead) {
+    buffer_pool_.release(std::move(frame));
+    if (conn->inflight > 0) --conn->inflight;
+    return false;
   }
-  if (notify) request_flush(conn);
+  conn->completed.emplace(seq, Completed{std::move(frame), framed});
+  const std::size_t before = conn->outbox.size();
+  release_ready_locked(*conn);
+  return conn->outbox.size() != before;
 }
 
 void SoapEventServer::request_flush(const std::shared_ptr<Conn>& conn) {

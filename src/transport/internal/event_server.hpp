@@ -7,13 +7,25 @@
 // This server serves the same ServerConfig surface on SHARDED epoll
 // reactors: `reactor_threads` threads (default one per core) each own a
 // slice of the connections end-to-end — their epoll set, their frame
-// reassembly, their outbox writes, their idle sweep, their eventfd — and
-// a small fixed worker pool (default hardware_concurrency) runs the CPU
-// work: decode, handler, encode. Thread count is bounded by cores, not by
-// clients, and no lock is shared between reactors on the data path: a
-// connection's life happens entirely on its owning shard, with workers
-// and stream threads signalling completions through that shard's private
-// queues and eventfd.
+// reassembly, their outbox writes, their idle sweep, their eventfd. Thread
+// count is bounded by cores, not by clients, and no lock is shared between
+// reactors on the data path: a connection's life happens entirely on its
+// owning shard.
+//
+// Dispatch: who runs the CPU work of an exchange (decode, handler,
+// encode). Both modes run the same serve(Job) body.
+//  * Run-to-completion (worker_threads = 0, the default): the reactor that
+//    assembled a request serves it inline — admission, response-cache
+//    lookup, deserialize, deadline check, handler, serialize, complete() —
+//    and flushes the connection's outbox before it returns to epoll_wait.
+//    No thread handoff and no eventfd signal: the exchange never leaves
+//    the thread that read it. A reactor busy in a handler is not reading,
+//    so a slow handler stalls only the connections of its own shard.
+//  * Worker pool (worker_threads = N > 0): reactors queue assembled
+//    requests to a fixed pool of N workers, which complete them back
+//    through the owning shard's flush queue and eventfd. This is the
+//    choice for slow or blocking handlers: a blocked worker stalls no
+//    reactor, so every other connection keeps being read and answered.
 //
 // Connections reach their shard one of two ways. Default: reactor 0 owns
 // the single listener and deals accepted sockets round-robin (exactly
@@ -24,11 +36,12 @@
 //
 // Pipelining: a client may write many frames back to back on one
 // connection. Each request gets a per-connection sequence number when it
-// leaves the FrameAssembler; workers complete them in any order; the
-// connection's completion map releases responses strictly in sequence, so
-// M pipelined requests always produce M in-order responses. (Handlers for
-// requests of ONE connection may run concurrently — ordering is restored
-// at the write queue, not in the handler.)
+// leaves the FrameAssembler; the connection's completion map releases
+// responses strictly in sequence, so M pipelined requests always produce
+// M in-order responses. Inline, the sequence order is the serving order;
+// with workers, handlers for requests of ONE connection may run
+// concurrently and complete in any order — ordering is restored at the
+// write queue, not in the handler.
 //
 // Streaming (BXTP v2): a chunked frame must not monopolize a worker (the
 // handler blocks on chunk arrival) nor flood the reactor (a 256 MiB stream
@@ -49,21 +62,26 @@
 // into one pooled buffer behind a reserved BXTP header, and the reactor
 // writes that single buffer per response. The BufferPool's per-thread
 // caches (PR 6) mean each reactor and worker recycles through a private
-// free list, so the pool's shared mutex is off the hot path too.
+// free list, so the pool's shared mutex is off the hot path too; inline,
+// an exchange's buffers never leave one thread's cache.
 //
-// Overload (DESIGN.md §12): with max_queue_depth set, the shared worker
-// queue is BOUNDED. A request that fills the queue to the bound parks its
-// connection's EPOLLIN (the same kernel-TCP-window backpressure streaming
-// uses; workers reopen the tap at half the bound); a request arriving
-// while the queue is already full — racing shards, or frames behind it in
-// the same read buffer — is shed at admission with a pre-encoded
-// retryable soap:Server/"Overloaded" fault in its pipeline slot, so the
-// queue provably never exceeds the bound and pipelined responses stay
-// ordered. max_inflight_per_conn sheds the same way per connection, so a
-// firehose pipeliner cannot monopolize the queue. Workers drop requests
-// whose stamped Deadline expired while queued (after decode, before the
-// handler) and publish the remaining budget to handlers via
-// soap::DeadlineScope.
+// Overload (DESIGN.md §12): max_queue_depth bounds the requests read off
+// the wire but not yet served. Inline, that is the exchanges in progress
+// across all reactors, counted from admission until complete() commits the
+// response; a request past the bound is shed, and nothing parks — a busy
+// reactor is not reading. With workers it bounds the shared worker queue:
+// a request that fills the queue to the bound parks its connection's
+// EPOLLIN (the same kernel-TCP-window backpressure streaming uses; workers
+// reopen the tap at half the bound); a request arriving while the queue is
+// already full — racing shards, or frames behind it in the same read
+// buffer — is shed. Either way a shed request is answered at admission
+// with a pre-encoded retryable soap:Server/"Overloaded" fault in its
+// pipeline slot, so the bound provably holds and pipelined responses stay
+// ordered. max_inflight_per_conn (worker pool only) sheds the same way per
+// connection, so a firehose pipeliner cannot monopolize the queue. A
+// request whose stamped Deadline expired since it was read off the socket
+// is dropped after decode, before the handler; the remaining budget
+// reaches handlers via soap::DeadlineScope.
 //
 // Failure taxonomy matches the pool: DecodeError -> in-band soap:Client
 // fault, SoapFaultError/std::exception -> fault envelope, frame-level
@@ -105,7 +123,7 @@ class SoapEventServer : public SoapServer {
  public:
   using Handler = ServerConfig::Handler;
 
-  /// Starts the reactors and workers immediately.
+  /// Starts the reactors (and the worker pool, if configured) immediately.
   explicit SoapEventServer(ServerConfig config);
   ~SoapEventServer() override;
 
@@ -123,8 +141,9 @@ class SoapEventServer : public SoapServer {
   std::size_t faults() const noexcept override { return faults_.load(); }
   /// Reactor shards serving this instance.
   std::size_t reactor_count() const noexcept { return reactors_.size(); }
-  /// Reactors plus the fixed worker pool (transient per-stream threads are
-  /// not counted; they live only as long as one chunked exchange).
+  /// Reactors plus the fixed worker pool, if any — just the reactors when
+  /// exchanges run inline (transient per-stream threads are not counted;
+  /// they live only as long as one chunked exchange).
   std::size_t serving_threads() const noexcept override {
     return reactors_.size() + workers_.size();
   }
@@ -207,6 +226,10 @@ class SoapEventServer : public SoapServer {
     /// worker queue to max_queue_depth (admission backpressure). Resumed
     /// by the owning reactor once workers drain the queue to half.
     bool queue_parked = false;
+    /// Reactor-only: something this reactor did while pumping (an inline
+    /// exchange, a shed, a Hello's Accept) grew the outbox; the pump's
+    /// caller flushes before going back to epoll_wait.
+    bool flush_pending = false;
 
     /// BXTP v3 (FORMAT.md §"BXTP v3"). `v3` is written by the owning
     /// reactor while handling the Hello — before any request of this
@@ -247,9 +270,10 @@ class SoapEventServer : public SoapServer {
     std::shared_ptr<Conn> conn;
     std::uint64_t seq = 0;
     soap::WireMessage request;
-    /// Admission time: the stamped Deadline header counts from here, so
-    /// queueing delay is charged against the client's budget.
-    std::chrono::steady_clock::time_point enqueued;
+    /// When the request's bytes came off the socket: the stamped Deadline
+    /// header counts from here, so time spent queued (or pipelined behind
+    /// an inline exchange) is charged against the client's budget.
+    std::chrono::steady_clock::time_point arrived;
   };
 
   /// One shard: a reactor thread plus everything it owns. Nothing here is
@@ -285,17 +309,38 @@ class SoapEventServer : public SoapServer {
 
   void reactor_loop(Reactor& r);
   void worker_loop();
+  /// One exchange, in either dispatch mode: response-cache lookup,
+  /// deserialize, deadline check, handler, serialize, complete(). Returns
+  /// complete()'s verdict: whether the connection now has bytes to flush.
+  bool serve(Job job);
 
   // Reactor-side helpers. Those taking a Conn run on its owning reactor.
   void accept_ready(Reactor& r);
   void adopt(Reactor& r, TcpStream stream);
   void read_ready(const std::shared_ptr<Conn>& conn);
   bool pump(const std::shared_ptr<Conn>& conn,
-            std::span<const std::uint8_t> data);
+            std::span<const std::uint8_t> data,
+            std::chrono::steady_clock::time_point arrived);
+  /// BXTP v3 handshake: negotiate from the assembled Hello and queue the
+  /// Accept ahead of every response (flushed by the pump's caller).
+  void answer_hello(const std::shared_ptr<Conn>& conn);
+  /// Take the assembled request and undo its v3 transforms (decompress,
+  /// then dictionary-decode) so the rest of the server sees canonical bytes.
+  soap::WireMessage take_request(const std::shared_ptr<Conn>& conn);
+  /// Admission control for one assembled request, then dispatch: serve it
+  /// inline or queue it to the workers.
+  void admit(const std::shared_ptr<Conn>& conn, soap::WireMessage request,
+             std::chrono::steady_clock::time_point arrived);
   bool on_stream_chunk(const std::shared_ptr<Conn>& conn);
   void begin_stream(const std::shared_ptr<Conn>& conn);
   void resume_stream_read(const std::shared_ptr<Conn>& conn);
-  void flush(const std::shared_ptr<Conn>& conn);
+  /// Write what the connection has ready. Returns false once the
+  /// connection is dropped (a write failed, or a half-closed peer got its
+  /// last response).
+  bool flush(const std::shared_ptr<Conn>& conn);
+  /// After a pump on the owning reactor: flush if it left bytes pending.
+  /// Returns false once the connection is dropped.
+  bool flush_if_pending(const std::shared_ptr<Conn>& conn);
   void drop(const std::shared_ptr<Conn>& conn);
   void sweep_idle(Reactor& r);
   /// Admission backpressure: close the connection's read tap because it
@@ -306,6 +351,7 @@ class SoapEventServer : public SoapServer {
   void maybe_unpark_queue(Reactor& r);
   /// Refuse one request at admission: recycle its payload and complete
   /// its sequence slot with the pre-encoded retryable Overloaded fault.
+  /// Runs on the owning reactor, which flushes afterwards.
   void shed(const std::shared_ptr<Conn>& conn, std::uint64_t seq,
             soap::WireMessage request);
   void update_listener_interest(Reactor& r);
@@ -313,10 +359,11 @@ class SoapEventServer : public SoapServer {
   /// conn.mu held: move newly in-order completed responses to the outbox.
   void release_ready_locked(Conn& conn);
 
-  // Worker-side helper: hand a finished response to the connection.
-  // `framed` false means `frame` is a canonical v3 payload still to be
-  // framed (and dictionary-coded) at release time.
-  void complete(const std::shared_ptr<Conn>& conn, std::uint64_t seq,
+  // Hand a finished response to the connection. `framed` false means
+  // `frame` is a canonical v3 payload still to be framed (and dictionary-
+  // coded) at release time. Returns whether the outbox grew: the caller
+  // flushes (on the owning reactor) or asks the owner to (request_flush).
+  bool complete(const std::shared_ptr<Conn>& conn, std::uint64_t seq,
                 std::vector<std::uint8_t> frame, bool framed = true);
   // Stream-thread body and its owning-reactor notifications.
   void stream_main(std::shared_ptr<Conn> conn,
@@ -326,6 +373,8 @@ class SoapEventServer : public SoapServer {
 
   std::unique_ptr<soap::AnyEncoding> encoding_;
   Handler handler_;
+  /// worker_threads == 0: every exchange runs on the reactor that read it.
+  bool run_inline_ = true;
   StreamHandler stream_handler_;
   std::size_t stream_chunk_bytes_ = 1u << 20;
   /// Declared before listeners_/threads so it outlives every SharedBuffer
@@ -363,8 +412,10 @@ class SoapEventServer : public SoapServer {
   /// idempotent operations.
   std::optional<ResponseCache> respcache_;
   IdempotentOpSet idempotent_ops_;
-  /// Mirror of jobs_.size(), readable without jobs_mu_ (reactors poll it
-  /// on every loop pass to decide unparking).
+  /// Requests admitted but not yet served. With workers: a mirror of
+  /// jobs_.size(), readable without jobs_mu_ (reactors poll it on every
+  /// loop pass to decide unparking). Inline: exchanges in progress across
+  /// all reactors, from admission until complete() commits the response.
   std::atomic<std::size_t> queue_depth_{0};
   /// Total queue-parked connections across shards; workers consult it to
   /// decide whether draining below half the bound warrants a wakeup.
@@ -380,7 +431,7 @@ class SoapEventServer : public SoapServer {
   obs::Counter* shed_ = nullptr;       // requests refused with Overloaded
   obs::Counter* parks_ = nullptr;      // overload.parks: read taps closed
   obs::Counter* expired_ = nullptr;    // expired.dropped: deadline drops
-  obs::Waterline* queue_waterline_ = nullptr;  // worker queue residency
+  obs::Waterline* queue_waterline_ = nullptr;  // admitted, not yet served
   obs::Counter* stream_chunks_ = nullptr;    // request chunks received
   obs::Counter* stream_flushes_ = nullptr;   // response chunk frames sent
   obs::Waterline* stream_buffered_ = nullptr;  // stream queue residency
@@ -392,6 +443,7 @@ class SoapEventServer : public SoapServer {
   std::size_t next_reactor_ = 0;  // reactor-0-only: round-robin cursor
 
   // Worker job queue (shared by all shards; workers are a common pool).
+  // Unused when exchanges run inline.
   std::mutex jobs_mu_;
   std::condition_variable jobs_cv_;
   std::deque<Job> jobs_;

@@ -37,6 +37,13 @@ std::string ServerConfig::validate(ConcurrencyModel model) const {
            "it 0");
     }
   }
+  if (model == ConcurrencyModel::kEventLoop && worker_threads == 0 &&
+      max_inflight_per_conn > 0) {
+    fail("max_inflight_per_conn needs a worker pool: with worker_threads "
+         "= 0 each exchange runs inline on its reactor, so a connection "
+         "never has more than one request in flight; set worker_threads "
+         "or leave it 0");
+  }
   if (shed_retry_after.count() < 0) {
     fail("shed_retry_after must be >= 0");
   }

@@ -2,7 +2,8 @@
 // models.
 //
 // SoapServerPool (thread-per-connection) and SoapEventServer (sharded epoll
-// reactors + worker pool) answer the same wire protocol and expose the same
+// reactors that serve exchanges inline, or hand them to an optional worker
+// pool) answer the same wire protocol and expose the same
 // statistics; what differs is how they spend threads. This header makes
 // that a RUNTIME choice: build one ServerConfig, pick a ConcurrencyModel,
 // and SoapServer::create returns whichever implementation fits the
@@ -38,7 +39,7 @@ namespace bxsoap::transport {
 /// How a server spends threads on connections.
 enum class ConcurrencyModel {
   kThreadPerConnection,  ///< SoapServerPool: one blocking worker per client
-  kEventLoop,            ///< SoapEventServer: epoll reactors + fixed workers
+  kEventLoop,            ///< SoapEventServer: epoll reactors (+ optional workers)
 };
 
 /// Everything either server needs. Only `encoding` and `handler` (or
@@ -81,7 +82,8 @@ struct ServerConfig {
   /// (wakeups, queue.depth, rolled-up loop.ns), per-shard
   /// reactor.N.{loop.ns,connections}, overload.parks (connections whose
   /// EPOLLIN was parked on a full worker queue), and the queue.waterline
-  /// whose peak proves the max_queue_depth bound held. The registry must
+  /// (requests admitted but not yet served) whose peak proves the
+  /// max_queue_depth bound held. The registry must
   /// outlive the server. Null = zero instrumentation.
   obs::Registry* registry = nullptr;
   /// Metric namespace. Empty (the default) = create() picks the model's
@@ -111,26 +113,30 @@ struct ServerConfig {
 
   /// Admission bound on requests read off the wire but not yet served;
   /// 0 = unbounded (the historical behavior — and an unbounded memory /
-  /// latency liability under sustained overload). On the event server
-  /// this bounds the shared worker queue: when an admitted request fills
-  /// the queue to this depth the producing connection's EPOLLIN is
-  /// PARKED (backpressure through the kernel TCP window, the same
-  /// mechanism streaming uses) until workers drain it to half; a request
-  /// that arrives while the queue is already full is SHED — answered
-  /// immediately, in its pipeline slot, with a retryable
-  /// soap:Server/"Overloaded" fault carrying a Retry-After hint, and the
-  /// queue never exceeds this depth. On the thread-per-connection pool —
+  /// latency liability under sustained overload). A request past the
+  /// bound is SHED — answered immediately, in its pipeline slot, with a
+  /// retryable soap:Server/"Overloaded" fault carrying a Retry-After hint
+  /// — so the bound is never exceeded. On the event server serving inline
+  /// (worker_threads = 0) this bounds the exchanges in progress across all
+  /// reactors, from admission until the response is committed; nothing
+  /// parks, since a reactor busy serving is not reading. With a worker
+  /// pool it bounds the shared worker queue, and the request that fills
+  /// the queue to this depth also PARKS its connection's EPOLLIN
+  /// (backpressure through the kernel TCP window, the same mechanism
+  /// streaming uses) until workers drain it to half. On the
+  /// thread-per-connection pool —
   /// which has no shared queue — this bounds concurrently in-flight
   /// exchanges (request read, response not yet written); a request past
   /// the bound is shed with the same fault. See DESIGN.md §12.
   std::size_t max_queue_depth = 0;
 
-  /// SoapEventServer only: pipelined requests one connection may have in
-  /// flight (dispatched, response not yet released) before further
-  /// requests on that connection are shed with the Overloaded fault, so
-  /// one firehose pipeliner cannot monopolize the worker queue. 0 =
-  /// unbounded. A validation error with kThreadPerConnection, which
-  /// serves each connection serially (its in-flight depth is already 1).
+  /// SoapEventServer with a worker pool only: pipelined requests one
+  /// connection may have in flight (dispatched, response not yet
+  /// released) before further requests on that connection are shed with
+  /// the Overloaded fault, so one firehose pipeliner cannot monopolize
+  /// the worker queue. 0 = unbounded. A validation error with
+  /// kThreadPerConnection, and with kEventLoop at worker_threads = 0: both
+  /// serve each connection serially (its in-flight depth is already 1).
   std::size_t max_inflight_per_conn = 0;
 
   /// Retry-After hint (milliseconds) carried in the detail of shed
@@ -138,10 +144,15 @@ struct ServerConfig {
   /// (ReliableCaller) waits before retrying. Must be >= 0.
   std::chrono::milliseconds shed_retry_after{50};
 
-  /// SoapEventServer only: size of the fixed worker pool that runs
-  /// decode/handle/encode off the reactors. 0 = hardware_concurrency.
-  /// Setting it with kThreadPerConnection is a validation error (that
-  /// model's workers are one-per-connection by definition).
+  /// SoapEventServer only: who runs an exchange's decode/handle/encode.
+  /// 0 (the default) = no worker pool: the reactor that owns the
+  /// connection serves each request inline, run to completion, and
+  /// flushes the response before it polls again — no thread handoff, the
+  /// fastest choice for handlers that compute and return. N > 0 = a fixed
+  /// pool of N workers off the reactors: choose it for slow or blocking
+  /// handlers, which inline would stall every other connection on their
+  /// reactor. Setting it with kThreadPerConnection is a validation error
+  /// (that model's workers are one-per-connection by definition).
   std::size_t worker_threads = 0;
 
   /// SoapEventServer only: number of reactor shards, each owning its
@@ -246,7 +257,8 @@ class SoapServer {
   virtual std::size_t faults() const noexcept = 0;
   /// Threads dedicated to serving traffic right now: the pool's live
   /// per-connection workers, or the event server's reactors plus its fixed
-  /// worker pool. The number the two concurrency models exist to trade.
+  /// worker pool (just the reactors with worker_threads = 0). The number
+  /// the two concurrency models exist to trade.
   virtual std::size_t serving_threads() const noexcept = 0;
   /// Graceful shutdown; idempotent.
   virtual void stop() = 0;

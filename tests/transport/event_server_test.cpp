@@ -7,7 +7,10 @@
 
 #include "services/verification.hpp"
 #include "soap/engine.hpp"
+#include "soap/overload.hpp"
 #include "transport/bindings.hpp"
+#include "transport/compress.hpp"
+#include "transport/internal/event_server.hpp"
 #include "transport/server.hpp"
 #include "workload/lead.hpp"
 
@@ -475,6 +478,338 @@ TEST(EventShard, ConnectionCeilingSpansShards) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server->exchanges(), static_cast<std::size_t>(kClients));
+}
+
+// ---- dispatch modes: run-to-completion (default) vs worker pool ------------
+
+enum class Dispatch { kInline, kWorkers };
+
+/// Build a BXSA event server on two reactors in the given dispatch mode;
+/// `cfg` supplies everything else (the handler defaults to the
+/// verification service).
+std::unique_ptr<SoapServer> make_dispatch(Dispatch mode,
+                                          ServerConfig cfg = {}) {
+  cfg.encoding = AnyEncoding::from(BxsaEncoding{});
+  if (!cfg.handler) cfg.handler = services::verification_handler;
+  cfg.reactor_threads = 2;
+  cfg.worker_threads = mode == Dispatch::kWorkers ? 2 : 0;
+  return SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
+}
+
+/// Frames concatenated into ONE write, so the server reads them in one
+/// recv and the requests sit pipelined in one read buffer.
+std::vector<std::uint8_t> frames_of(
+    const std::vector<soap::WireMessage>& messages) {
+  ByteWriter w;
+  for (const soap::WireMessage& m : messages) {
+    const std::size_t len_pos = begin_frame(w, m.content_type);
+    w.write_bytes(m.payload.data(), m.payload.size());
+    end_frame(w, len_pos);
+  }
+  return w.take();
+}
+
+/// A verification request stamped with `budget_ms` of deadline, written as
+/// a raw header value: "0" is already expired on arrival (set_deadline
+/// floors at 1 ms).
+soap::WireMessage encode_request_with_budget(std::size_t count,
+                                             std::string budget_ms) {
+  SoapEnvelope env =
+      services::make_data_request(workload::make_lead_dataset(count));
+  auto block = xdm::make_leaf<std::string>(
+      xdm::QName(std::string(kOverloadUri), "Deadline", "ctl"),
+      std::move(budget_ms));
+  block->declare_namespace("ctl", std::string(kOverloadUri));
+  env.header().add_child(std::move(block));
+  soap::WireMessage m;
+  m.content_type = std::string(BxsaEncoding::content_type());
+  m.payload = BxsaEncoding{}.serialize(env.document());
+  return m;
+}
+
+/// Handler gate: a request for `gated_count` leads blocks in the handler
+/// until the gate opens; every other request passes straight through.
+struct Gate {
+  std::size_t gated_count = 0;
+  std::atomic<bool> open{false};
+  std::atomic<int> entered{0};
+
+  ServerConfig::Handler handler() {
+    return [this](SoapEnvelope env) {
+      SoapEnvelope resp = services::verification_handler(std::move(env));
+      if (services::parse_verify_response(resp).count == gated_count) {
+        entered.fetch_add(1, std::memory_order_acq_rel);
+        while (!open.load(std::memory_order_acquire)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      return resp;
+    };
+  }
+};
+
+template <typename Pred>
+bool wait_until(Pred pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+struct EventServerDispatch : ::testing::TestWithParam<Dispatch> {};
+
+TEST_P(EventServerDispatch, PipelinedBurstAnswersInOrder) {
+  obs::Registry registry;
+  ServerConfig cfg;
+  cfg.registry = &registry;
+  auto server = make_dispatch(GetParam(), std::move(cfg));
+  constexpr std::size_t kRequests = 16;
+
+  std::vector<soap::WireMessage> burst;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    burst.push_back(encode_request(40 + i));
+  }
+  TcpStream conn = TcpStream::connect(server->port());
+  conn.write_all(frames_of(burst));
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(decode_response(read_frame(conn)).count, 40 + i)
+        << "response " << i << " out of order";
+  }
+  EXPECT_EQ(server->exchanges(), kRequests);
+  EXPECT_GT(registry.counter("event.pipelined.exchanges").value(), 0u);
+  // Every admitted request left the residency count again.
+  EXPECT_EQ(registry.gauge("event.reactor.queue.depth").value(), 0);
+}
+
+// The v3 channel features in one connection: the dictionary codes both
+// directions in wire order, compression applies to both, and the response
+// cache answers a repeat without the handler.
+TEST_P(EventServerDispatch, V3DictionaryCompressionAndCacheOnOneConnection) {
+  obs::Registry registry;
+  std::atomic<int> handled{0};
+  ServerConfig cfg;
+  cfg.registry = &registry;
+  cfg.compress_transforms = transforms::kAll;
+  cfg.idempotent_ops = {"blob"};
+  cfg.handler = [&handled](SoapEnvelope env) {
+    ++handled;
+    return env;  // echo: large and compressible both ways
+  };
+  auto server = make_dispatch(GetParam(), std::move(cfg));
+
+  SoapEngine<BxsaEncoding, TcpClientBinding> client(
+      BxsaEncoding{}, TcpClientBinding(server->port()));
+  client.binding().enable_v3();
+  client.binding().enable_compression();
+  const auto text_of = [](const SoapEnvelope& env) {
+    const auto* root = dynamic_cast<const xdm::Element*>(env.body_payload());
+    const auto* leaf =
+        root == nullptr ? nullptr
+                        : dynamic_cast<const xdm::LeafElement<std::string>*>(
+                              root->find_child("text"));
+    return leaf == nullptr ? std::string() : leaf->get();
+  };
+  const auto make_blob = [](std::size_t repeats) {
+    std::string text;
+    for (std::size_t i = 0; i < repeats; ++i) text += "a pipelined reactor ";
+    auto root = xdm::make_element(xdm::QName("urn:t", "blob", "t"));
+    root->declare_namespace("t", "urn:t");
+    root->add_child(
+        xdm::make_leaf<std::string>(xdm::QName("text"), std::string(text)));
+    return std::make_pair(SoapEnvelope::wrap(std::move(root)), text);
+  };
+
+  const auto [big, big_text] = make_blob(2048);
+  const auto [small, small_text] = make_blob(1024);
+  EXPECT_EQ(text_of(client.call(big)), big_text);
+  EXPECT_EQ(text_of(client.call(big)), big_text);  // cache hit
+  EXPECT_EQ(text_of(client.call(small)), small_text);
+  ASSERT_TRUE(client.binding().v3_active());
+  EXPECT_EQ(client.binding().negotiated_transforms(), transforms::kAll);
+
+  EXPECT_EQ(handled.load(), 2);
+  EXPECT_EQ(registry.counter("event.respcache.hits").value(), 1u);
+  EXPECT_GT(registry.counter("event.dict.bytes_saved").value(), 0u);
+  EXPECT_GE(registry.counter("event.compress.chunks").value(), 3u);
+  EXPECT_EQ(server->exchanges(), 3u);
+  EXPECT_EQ(server->faults(), 0u);
+}
+
+TEST_P(EventServerDispatch, ExpiredDeadlineIsDroppedBeforeTheHandler) {
+  obs::Registry registry;
+  std::atomic<int> handled{0};
+  ServerConfig cfg;
+  cfg.registry = &registry;
+  cfg.handler = [&handled](SoapEnvelope env) {
+    ++handled;
+    return services::verification_handler(std::move(env));
+  };
+  auto server = make_dispatch(GetParam(), std::move(cfg));
+
+  TcpStream conn = TcpStream::connect(server->port());
+  conn.write_all(frames_of({encode_request_with_budget(7, "0"),
+                            encode_request_with_budget(8, "60000")}));
+  const SoapEnvelope dropped(
+      BxsaEncoding{}.deserialize(read_frame(conn).payload));
+  ASSERT_TRUE(dropped.is_fault());
+  EXPECT_EQ(dropped.fault().reason, kDeadlineExpiredReason);
+  EXPECT_EQ(decode_response(read_frame(conn)).count, 8u);
+  EXPECT_EQ(handled.load(), 1);
+  EXPECT_EQ(registry.counter("event.expired.dropped").value(), 1u);
+}
+
+TEST_P(EventServerDispatch, GracefulStopDrainsAPipelinedBurst) {
+  Gate gate;
+  gate.gated_count = 20;
+  ServerConfig cfg;
+  cfg.handler = gate.handler();
+  cfg.drain_timeout = std::chrono::seconds(5);
+  auto server = make_dispatch(GetParam(), std::move(cfg));
+
+  TcpStream conn = TcpStream::connect(server->port());
+  conn.write_all(frames_of(
+      {encode_request(20), encode_request(21), encode_request(22)}));
+  // Stop lands while the first request is inside its handler and the
+  // other two are already read (behind it inline, queued with workers).
+  ASSERT_TRUE(wait_until([&] { return gate.entered.load() == 1; }));
+  std::thread stopper([&] { server->stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  gate.open.store(true, std::memory_order_release);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(decode_response(read_frame(conn)).count, 20 + i);
+  }
+  stopper.join();
+  EXPECT_EQ(server->exchanges(), 3u);
+  EXPECT_EQ(server->active_connections(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, EventServerDispatch,
+                         ::testing::Values(Dispatch::kInline,
+                                           Dispatch::kWorkers),
+                         [](const auto& info) {
+                           return info.param == Dispatch::kInline
+                                      ? "Inline"
+                                      : "Workers";
+                         });
+
+// With no worker pool the reactors are the only serving threads.
+TEST(EventServerInline, ServingThreadsAreTheReactors) {
+  ServerConfig cfg;
+  cfg.encoding = AnyEncoding::from(BxsaEncoding{});
+  cfg.handler = services::verification_handler;
+  cfg.reactor_threads = 3;
+  auto server =
+      SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
+  const auto* event = dynamic_cast<const SoapEventServer*>(server.get());
+  ASSERT_NE(event, nullptr);
+  EXPECT_EQ(event->reactor_count(), 3u);
+  EXPECT_EQ(server->serving_threads(), event->reactor_count());
+}
+
+// Inline, max_queue_depth bounds the exchanges in progress across the
+// reactors: with one reactor busy in a handler and a bound of 1, a request
+// read by the OTHER reactor is shed — and nothing is parked.
+TEST(EventServerInline, ShedsPastMaxQueueDepthWithoutParking) {
+  Gate gate;
+  gate.gated_count = 10;
+  obs::Registry registry;
+  ServerConfig cfg;
+  cfg.encoding = AnyEncoding::from(BxsaEncoding{});
+  cfg.handler = gate.handler();
+  cfg.registry = &registry;
+  cfg.reactor_threads = 2;
+  cfg.max_queue_depth = 1;
+  auto server =
+      SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
+
+  // Round-robin deal: `busy` lands on reactor 0, `other` on reactor 1. A
+  // first exchange on each proves both were adopted before reactor 0 (the
+  // accepting one) blocks in the gate.
+  TcpStream busy = TcpStream::connect(server->port());
+  TcpStream other = TcpStream::connect(server->port());
+  write_frame(busy, encode_request(1));
+  EXPECT_EQ(decode_response(read_frame(busy)).count, 1u);
+  write_frame(other, encode_request(2));
+  EXPECT_EQ(decode_response(read_frame(other)).count, 2u);
+
+  write_frame(busy, encode_request(10));
+  ASSERT_TRUE(wait_until([&] { return gate.entered.load() == 1; }));
+  // The exchange in the handler counts as resident.
+  EXPECT_EQ(registry.gauge("event.reactor.queue.depth").value(), 1);
+
+  write_frame(other, encode_request(11));
+  const SoapEnvelope shed(BxsaEncoding{}.deserialize(read_frame(other).payload));
+  ASSERT_TRUE(shed.is_fault());
+  EXPECT_TRUE(is_overloaded(shed.fault()));
+  EXPECT_EQ(registry.counter("event.shed").value(), 1u);
+
+  gate.open.store(true, std::memory_order_release);
+  EXPECT_EQ(decode_response(read_frame(busy)).count, 10u);
+  write_frame(other, encode_request(12));
+  EXPECT_EQ(decode_response(read_frame(other)).count, 12u);
+
+  EXPECT_EQ(registry.waterline("event.queue.waterline").peak(), 1u);
+  EXPECT_EQ(registry.counter("event.overload.parks").value(), 0u);
+  EXPECT_EQ(registry.gauge("event.reactor.queue.depth").value(), 0);
+}
+
+// The event.stage.* histograms stay disjoint inline: frame reading stops
+// at the assembled request, so a 20 ms handler run on the reactor is
+// billed to the handler stage only.
+TEST(EventServerInline, FrameReadStageExcludesTheInlineExchange) {
+  obs::Registry registry;
+  ServerConfig cfg;
+  cfg.encoding = AnyEncoding::from(BxsaEncoding{});
+  cfg.handler = [](SoapEnvelope env) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return services::verification_handler(std::move(env));
+  };
+  cfg.registry = &registry;
+  auto server =
+      SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
+
+  SoapEngine<BxsaEncoding, TcpClientBinding> client(
+      BxsaEncoding{}, TcpClientBinding(server->port()));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(services::parse_verify_response(
+                    client.call(services::make_data_request(
+                        workload::make_lead_dataset(5 + i))))
+                    .ok);
+  }
+  const auto& frame_read = registry.histogram("event.stage.frame_read.ns");
+  const auto& handler = registry.histogram("event.stage.handler.ns");
+  EXPECT_GT(frame_read.count(), 0u);
+  EXPECT_GE(handler.sum(), 3u * 20'000'000u);
+  EXPECT_LT(frame_read.sum() * 20, handler.sum());
+}
+
+// The reason the worker pool stays: a handler that blocks on connection A
+// ties up a worker, not the reactor, so connection B on the SAME reactor is
+// still read and answered.
+TEST(EventServerWorkers, BlockingHandlerDoesNotStallOtherConnections) {
+  Gate gate;
+  gate.gated_count = 30;
+  ServerConfig cfg;
+  cfg.encoding = AnyEncoding::from(BxsaEncoding{});
+  cfg.handler = gate.handler();
+  cfg.reactor_threads = 1;
+  cfg.worker_threads = 2;
+  auto server =
+      SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
+
+  TcpStream a = TcpStream::connect(server->port());
+  TcpStream b = TcpStream::connect(server->port());
+  write_frame(a, encode_request(30));
+  ASSERT_TRUE(wait_until([&] { return gate.entered.load() == 1; }));
+  for (std::size_t i = 0; i < 3; ++i) {
+    write_frame(b, encode_request(31 + i));
+    EXPECT_EQ(decode_response(read_frame(b)).count, 31 + i);
+  }
+  gate.open.store(true, std::memory_order_release);
+  EXPECT_EQ(decode_response(read_frame(a)).count, 30u);
 }
 
 }  // namespace

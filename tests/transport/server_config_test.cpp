@@ -65,6 +65,21 @@ TEST(ServerConfig, ReactorKnobsRejectedOnThreadPerConnection) {
   EXPECT_EQ(rp.validate(ConcurrencyModel::kEventLoop), "");
 }
 
+// Inline dispatch (worker_threads = 0) serves one request per connection
+// at a time, so a per-connection in-flight cap has nothing to bound — the
+// same reason the thread-per-connection check gives.
+TEST(ServerConfig, InflightCapRequiresWorkersOnEventLoop) {
+  ServerConfig cfg = valid_config();
+  cfg.max_inflight_per_conn = 4;
+  const std::string errors = cfg.validate(ConcurrencyModel::kEventLoop);
+  EXPECT_NE(errors.find("max_inflight_per_conn"), std::string::npos)
+      << errors;
+  EXPECT_NE(errors.find("worker_threads"), std::string::npos) << errors;
+  // With a worker pool the cap bounds real pipelined concurrency.
+  cfg.worker_threads = 2;
+  EXPECT_EQ(cfg.validate(ConcurrencyModel::kEventLoop), "");
+}
+
 TEST(ServerConfig, StreamChunkLargerThanFrameLimitIsRejected) {
   ServerConfig cfg = valid_config();
   cfg.stream_chunk_bytes = cfg.frame_limits.max_chunk_bytes + 1;
