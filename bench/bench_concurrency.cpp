@@ -1,8 +1,7 @@
-// Concurrency shoot-out: thread-per-connection pool vs the sharded epoll
-// event server in both dispatch modes (run-to-completion on the reactors,
-// the default, and a worker pool of one worker per core), same encoding,
-// same handler, same clients — plus a c10k saturation ladder that only
-// the event server can attempt.
+// Concurrency ladder for the sharded epoll event server in both dispatch
+// modes (run-to-completion on the reactors, the default, and a worker pool
+// of one worker per core), same encoding, same handler, same clients —
+// plus a c10k saturation ladder.
 //
 // Two client drivers:
 //
@@ -13,22 +12,23 @@
 //    spawners would drain a shared budget before late ones ever dialed,
 //    quietly turning a 256-client leg into a ~50-client one.
 //
-//  * Saturation driver (1k/4k/10k connections, event server only): one
-//    epoll-driven client thread multiplexing every connection, because
-//    10 000 client THREADS would benchmark the client, not the server.
-//    Connections are dialed serially (blocking), then each cycles
-//    write-request / read-response ops_per_conn times under epoll. The
-//    event-server legs run at reactor_threads = 1 and = nproc so the
+//  * Saturation driver (1k/4k/10k connections): one epoll-driven client
+//    thread multiplexing every connection, because 10 000 client THREADS
+//    would benchmark the client, not the server. Connections are dialed
+//    serially (blocking), then each cycles write-request / read-response
+//    ops_per_conn times under epoll. The legs run at reactor_threads = 1
+//    and = nproc so the
 //    sharding win is measurable (on a single-core host the two legs are
 //    identical and the nproc leg is skipped — noted in the snapshot).
 //    The 10k rung clamps to the fd rlimit: each connection costs two
 //    descriptors in this one process (client end + server end).
 //
 // Reported per leg: throughput, exact p50/p95/p99 latency
-// (bench::LatencySamples), the server's thread count — the number the
-// event server exists to bound — and, for saturation legs, the server
-// pool hit rate (the PR 6 per-thread buffer caches are the difference
-// between ~60% and >95% here). Registry snapshot: BENCH_concurrency.json.
+// (bench::LatencySamples), the server's thread count — reactors plus
+// workers, bounded by configuration rather than by clients — and, for
+// saturation legs, the server pool hit rate (the per-thread buffer caches
+// are the difference between ~60% and >95% here). Registry snapshot:
+// BENCH_concurrency.json.
 //
 //   bench_concurrency               # thread ladder + c10k ladder
 //   bench_concurrency --short       # CI ladder: 1 / 8 / 32, fewer ops
@@ -330,39 +330,30 @@ int main(int argc, char** argv) {
   }
   table.print_header();
 
-  // Every leg runs through the unified SoapServer::create surface; the
-  // concurrency model and the dispatch mode are loop variables, not code
-  // paths.
+  // Every leg runs through SoapServer::create; the dispatch mode is a
+  // loop variable, not a code path.
   struct Leg {
-    ConcurrencyModel model;
     const char* name;
     const char* prefix;
-    std::size_t workers;  // event server: 0 = run inline on the reactors
+    std::size_t workers;  // 0 = run inline on the reactors
   };
   const Leg legs[] = {
-      // threads == clients
-      {ConcurrencyModel::kThreadPerConnection, "pool", "pool", 0},
       // threads == reactors, bounded by cores
-      {ConcurrencyModel::kEventLoop, "event", "event", 0},
+      {"event", "event", 0},
       // reactors + one worker per core
-      {ConcurrencyModel::kEventLoop, "event+workers", "event_workers", nproc},
+      {"event+workers", "event_workers", nproc},
   };
   for (const std::size_t clients : ladder) {
     for (const Leg& leg : legs) {
       const std::string prefix =
           std::string(leg.prefix) + ".c" + std::to_string(clients);
       ServerConfig cfg = make_config(registry, prefix);
-      if (leg.model == ConcurrencyModel::kEventLoop) {
-        cfg.reactor_threads = reactors_override;
-        cfg.worker_threads = leg.workers;
-      }
-      auto server = SoapServer::create(leg.model, std::move(cfg));
+      cfg.reactor_threads = reactors_override;
+      cfg.worker_threads = leg.workers;
+      auto server =
+          SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
       LegResult r = drive_clients(server->port(), clients, total_ops);
-      // The pool's workers are gone by now (clients hung up), so report its
-      // peak instead of sampling: one worker per connection.
-      r.server_threads = leg.model == ConcurrencyModel::kThreadPerConnection
-                             ? clients
-                             : server->serving_threads();
+      r.server_threads = server->serving_threads();
       server->stop();
       publish_leg(registry, prefix, r);
       print_row(table, leg.name, clients, r);
@@ -370,7 +361,7 @@ int main(int argc, char** argv) {
   }
 
   if (!short_mode) {
-    // ---- c10k saturation ladder (event server only) ---------------------
+    // ---- c10k saturation ladder ------------------------------------------
     registry.gauge("c10k.meta.nproc").set(static_cast<std::int64_t>(nproc));
     // On a single-core host the r1 and r<nproc> legs are the same
     // topology; the duplicate is skipped and this flag says why the

@@ -9,24 +9,6 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "== API surface gate =="
-# PR 6 finalized the server API: SoapServer::create is the only public
-# construction path and the ServerPoolConfig alias is gone. Nothing under
-# the public trees may mention it (src/transport/internal is the
-# implementation and uses ServerConfig too).
-if grep -rn "ServerPoolConfig" src tests bench examples 2>/dev/null; then
-  echo "check.sh: ServerPoolConfig is dead; use ServerConfig + SoapServer::create" >&2
-  exit 1
-fi
-# PR 10 redesigned the security layer: MessageSecurity is the one concept
-# and the old SecurityPolicy name survives only as the deprecated alias in
-# the compat shim.
-if grep -rn "SecurityPolicy" src tests bench examples 2>/dev/null \
-    | grep -v "src/soap/security_compat.hpp"; then
-  echo "check.sh: SecurityPolicy is dead outside src/soap/security_compat.hpp; use MessageSecurity" >&2
-  exit 1
-fi
-
 echo "== configure + build (default preset) =="
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$jobs"
@@ -65,25 +47,27 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs" \
   --target test_common test_transport test_soap test_chaos
 
-echo "== ctest (tsan: buffer pool + server pool + event server + streaming) =="
+echo "== ctest (tsan: buffer pool + event server + streaming) =="
 # The concurrency-heavy surfaces under ThreadSanitizer: the BufferPool /
 # SharedBuffer recycling machinery (including the per-thread cache churn
-# test), the multi-threaded server pool, the sharded epoll reactors and
-# their cross-reactor handoffs (EventShard), the client channel pool, the
-# chunked streaming path (per-stream threads + bounded queues on both
-# servers), the overload-control surfaces (admission/shed/park state
-# shared between reactors and workers, the ReliableCaller retry budget and
-# circuit breaker, deadline propagation into handler threads), and the
-# BXTP v3 surfaces (per-connection dictionary state vs reactor/worker
-# handoffs, the sharded response cache hammered from pooled channels), and
-# the negotiated-compression surfaces (per-connection transform state read
-# by stream/worker threads, shared CompressStats counters, the chunk
-# compress/decompress paths on both servers and the channel pool), and the
+# test), the sharded epoll reactors, their worker pool and their
+# cross-reactor handoffs (EventServer, EventShard), the client channel
+# pool, the chunked streaming path (per-stream threads + bounded queues,
+# and its truncation chaos), the overload-control surfaces
+# (admission/shed/park state shared between reactors and workers, the
+# ReliableCaller retry budget and circuit breaker, deadline propagation
+# into handler threads), the engine chaos matrix against a live server,
+# the BXTP v3 surfaces (per-connection dictionary state vs reactor/worker
+# handoffs, the sharded response cache hammered from pooled channels), the
+# negotiated-compression surfaces (per-connection transform state read by
+# stream/worker threads, shared CompressStats counters, the chunk
+# compress/decompress paths in the server and the channel pool), and the
 # streaming-security surfaces (per-stream authenticators handed between
 # reactor and stream threads, shared AuthStats counters, signed-stream
-# round trips and the corruption chaos matrix on both servers).
+# round trips and the corruption chaos matrix). Every server-side suite
+# runs on both dispatch legs: a worker pool and inline on the reactors.
 (cd build-tsan && TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  ctest -R 'BufferPool\.|SharedBuffer\.|ServerPool|ServerConfig|EventServer|EventShard|ChannelPool|Streaming|Overload|ExpiredDrop|DeadlineContext|ReliableCaller|RespCache|V3Negotiation|DictChannel|V3Chaos|CompressChannel|CompressChaos|Shuffle|SignedStream' \
+  ctest -R 'BufferPool\.|SharedBuffer\.|ServerConfig|EventServer|EventShard|ChannelPool|Streaming|StreamChaos|EngineChaos|Overload|ExpiredDrop|DeadlineContext|ReliableCaller|RespCache|V3Negotiation|DictChannel|V3Chaos|CompressChannel|CompressChaos|Shuffle|SignedStream' \
   --output-on-failure -j "$jobs")
 
 echo "== overload chaos gate (tsan, retry storms + saturated sheds) =="
@@ -94,8 +78,8 @@ echo "== overload chaos gate (tsan, retry storms + saturated sheds) =="
   ctest -R 'OverloadChaos' --output-on-failure -j "$jobs")
 
 echo "== bench_concurrency (short mode, smoke, 2 reactor shards) =="
-# The concurrency bench doubles as an end-to-end smoke of both server
-# architectures under load; short mode keeps it CI-sized, and pinning two
+# The concurrency bench doubles as an end-to-end smoke of both dispatch
+# modes under load; short mode keeps it CI-sized, and pinning two
 # reactors exercises the cross-reactor handoff path even on one core.
 # Run from build/ so the BENCH_*.json snapshot lands out of the tree.
 (cd build && ./bench/bench_concurrency --short --reactors 2 >/dev/null)

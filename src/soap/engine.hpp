@@ -186,7 +186,7 @@ class SoapEngine {
         return SoapEnvelope::make_fault({e.code(), e.reason(), ""});
       } catch (const DecodeError& e) {
         // The peer sent bytes we could not decode — the client's fault,
-        // answered in-band (same taxonomy as SoapServerPool).
+        // answered in-band (the same taxonomy as the SOAP server).
         return SoapEnvelope::make_fault({"soap:Client", e.what(), ""});
       } catch (const std::exception& e) {
         return SoapEnvelope::make_fault({"soap:Server", e.what(), ""});

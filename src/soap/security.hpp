@@ -52,8 +52,6 @@ concept ChunkAuthenticator =
     };
 
 /// What the generic engine requires of its Security template parameter.
-/// (The former envelope-only concept is deprecated; see
-/// soap/security_compat.hpp.)
 template <typename S>
 concept MessageSecurity = requires(const S s, SoapEnvelope& env) {
   { s.apply(env) } -> std::same_as<void>;

@@ -88,9 +88,6 @@ class TcpClientBinding {
     // A negotiated channel still accepts v1 frames: the server's shed
     // fault (and other pre-encoded constants) are version 1 on purpose.
     FrameStart start = read_frame_start(stream_, limits_, /*accept_v3=*/true);
-    if (start.hello) {
-      throw TransportError("unexpected Hello frame in a response");
-    }
     const std::uint8_t flags = start.flags;
     soap::WireMessage m =
         read_frame_body(stream_, std::move(start), limits_, pool_);

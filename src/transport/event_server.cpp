@@ -34,7 +34,7 @@ SoapEventServer::SoapEventServer(ServerConfig config)
       buffer_pool_(config.buffer_pool),
       read_timeout_ms_(config.read_timeout_ms),
       frame_limits_(config.frame_limits),
-      max_connections_(config.max_workers),
+      max_connections_(config.max_connections),
       drain_timeout_(config.drain_timeout),
       max_queue_depth_(config.max_queue_depth),
       max_inflight_per_conn_(config.max_inflight_per_conn),
@@ -212,8 +212,11 @@ void SoapEventServer::reactor_loop(Reactor& r) {
     // under max_connections_ (that shard signals our wakeup).
     if (!draining) update_listener_interest(r);
 
+    // A pass that woke for a completion and saw stopping_ still false may
+    // have drained stop()'s signal along with it; never sleep unbounded
+    // once stopping_ is set, so the check below still runs.
     int timeout_ms = -1;
-    if (draining) {
+    if (draining || stopping_.load(std::memory_order_acquire)) {
       timeout_ms = 2;
     } else if (read_timeout_ms_ > 0) {
       timeout_ms = std::min(read_timeout_ms_, 100);
@@ -476,7 +479,7 @@ void SoapEventServer::read_ready(const std::shared_ptr<Conn>& conn) {
                   conn->last_activity);
     } catch (const TransportError&) {
       // Malformed or over-limit frame: the byte stream cannot be trusted
-      // past this point; cut the connection (same as the pool).
+      // past this point; cut the connection.
       drop(conn);
       return;
     }
@@ -639,8 +642,8 @@ void SoapEventServer::admit(const std::shared_ptr<Conn>& conn,
     std::lock_guard lock(conn->mu);
     ++conn->inflight;
     inflight_now = conn->inflight;
-    // A second request arriving before the first response left is the
-    // pipelining case the thread-per-connection pool can't do.
+    // A second request arriving before the first response left is
+    // pipelining.
     if (pipelined_ != nullptr &&
         (conn->inflight > 1 || !conn->outbox.empty() ||
          !conn->completed.empty() || !conn->streams.empty())) {
@@ -1011,8 +1014,8 @@ void SoapEventServer::sweep_idle(Reactor& r) {
     if (conn->stream_parked || conn->queue_parked) continue;
     if (now - conn->last_activity > limit) stale.push_back(conn);
   }
-  // Same contract as the pool's SO_RCVTIMEO: a peer that goes silent for
-  // read_timeout_ms is disconnected, mid-frame or not.
+  // The slowloris defense: a peer that goes silent for read_timeout_ms is
+  // disconnected, mid-frame or not.
   for (const auto& conn : stale) drop(conn);
 }
 
@@ -1189,8 +1192,8 @@ void SoapEventServer::release_ready_locked(Conn& conn) {
     conn.completed.erase(it);
     ++conn.next_to_send;
     --conn.inflight;
-    // Counted when the reply is committed to the wire queue, matching
-    // the pool's "count before the bytes leave" rule.
+    // Counted when the reply is committed to the wire queue, before the
+    // bytes leave.
     ++exchanges_;
     obs_.count_exchange();
   }

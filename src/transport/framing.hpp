@@ -373,13 +373,6 @@ void write_hello(S& stream, const HelloFrame& h) {
   stream.write_all(w.bytes());
 }
 
-template <FrameStream S>
-void write_accept(S& stream, const AcceptFrame& a) {
-  ByteWriter w;
-  encode_accept(w, a);
-  stream.write_all(w.bytes());
-}
-
 /// Client side of the handshake: read the server's Accept. Anything else —
 /// including the connection cut an old server inflicts when it rejects the
 /// Hello's unknown version — throws TransportError, which the caller turns
@@ -439,50 +432,22 @@ void write_frame(S& stream, const soap::WireMessage& m) {
   write_frame(stream, m.content_type, m.payload);
 }
 
-/// Write one v3 Message frame (negotiated connections only).
-template <FrameStream S>
-void write_frame_v3(S& stream, std::uint8_t flags,
-                    std::string_view content_type,
-                    std::span<const std::uint8_t> payload) {
-  ByteWriter header;
-  header.write_bytes(kFrameMagic, sizeof(kFrameMagic));
-  header.write_u8(kFrameVersionNegotiated);
-  header.write_u8(static_cast<std::uint8_t>(V3FrameKind::kMessage));
-  header.write_u8(flags);
-  vls_write(header, content_type.size());
-  header.write_string(content_type);
-  header.write<std::uint64_t>(payload.size(), ByteOrder::kBig);
-  if constexpr (VectoredStream<S>) {
-    stream.write_vectored(header.bytes(), payload);
-  } else {
-    stream.write_all(header.bytes());
-    stream.write_all(payload);
-  }
-}
-
 /// The part of a BXTP header shared by all versions: everything up to
 /// (v1/v3) the payload length or (v2) the first chunk. Reading it first
-/// lets a server decide per-message whether the materialized or the
-/// streaming path handles the rest of the bytes. On a v3-accepting server
-/// the start may instead be a whole Hello frame (`hello` set, no content
-/// type follows) — the handshake the connection loop answers inline.
+/// lets the reader decide per message whether the materialized or the
+/// streaming path handles the rest of the bytes.
 struct FrameStart {
   std::uint8_t version = kFrameVersion;
   std::uint8_t flags = 0;  // v3 Message flags; always 0 on v1/v2
-  bool hello = false;
-  HelloFrame hello_frame;
   std::string content_type;
 
   bool chunked() const noexcept { return version == kFrameVersionChunked; }
-  bool negotiated() const noexcept {
-    return version == kFrameVersionNegotiated;
-  }
 };
 
-/// `accept_v3` is the server-side negotiation switch: when false (the
-/// default, and the configured behavior of a "v2-only" server) a version-3
-/// frame is rejected exactly as before this version existed — the
-/// connection cut that tells a probing v3 client to downgrade.
+/// `accept_v3` admits v3 Message frames, for a connection that negotiated
+/// v3. When false (the default) a version-3 frame is rejected as an
+/// unsupported version. Any v3 kind other than Message — a Hello included
+/// — is a TransportError: the blocking reader never negotiates.
 template <FrameStream S>
 FrameStart read_frame_start(S& stream, const FrameLimits& limits = {},
                             bool accept_v3 = false) {
@@ -496,23 +461,6 @@ FrameStart read_frame_start(S& stream, const FrameLimits& limits = {},
   if (fixed[4] == kFrameVersionNegotiated && accept_v3) {
     std::uint8_t kind;
     stream.read_exact(&kind, 1);
-    if (kind == static_cast<std::uint8_t>(V3FrameKind::kHello)) {
-      std::uint8_t body[12];
-      stream.read_exact(body, sizeof(body));
-      start.hello = true;
-      start.hello_frame.min_version = body[0];
-      start.hello_frame.max_version = body[1];
-      start.hello_frame.dict_max_entries =
-          load<std::uint32_t>(body + 2, ByteOrder::kBig);
-      start.hello_frame.dict_max_bytes =
-          load<std::uint32_t>(body + 6, ByteOrder::kBig);
-      start.hello_frame.transforms = body[10];
-      start.hello_frame.auth = body[11];
-      if (start.hello_frame.min_version > start.hello_frame.max_version) {
-        throw TransportError("Hello with an empty version range");
-      }
-      return start;
-    }
     if (kind != static_cast<std::uint8_t>(V3FrameKind::kMessage)) {
       throw TransportError("unexpected v3 frame kind " +
                            std::to_string(kind));

@@ -1,16 +1,15 @@
-// SoapEventServer — the scalable sibling of SoapServerPool.
+// SoapEventServer — the SOAP server.
 // INTERNAL header: construct via SoapServer::create (transport/server.hpp).
 //
-// The pool burns one OS thread per connection, which is honest but tops
-// out long before "millions of users": at N connections the kernel
-// schedules N mostly-idle threads, and every blocked read pins a stack.
-// This server serves the same ServerConfig surface on SHARDED epoll
-// reactors: `reactor_threads` threads (default one per core) each own a
-// slice of the connections end-to-end — their epoll set, their frame
-// reassembly, their outbox writes, their idle sweep, their eventfd. Thread
-// count is bounded by cores, not by clients, and no lock is shared between
-// reactors on the data path: a connection's life happens entirely on its
-// owning shard.
+// One OS thread per connection tops out long before "millions of users":
+// at N connections the kernel schedules N mostly-idle threads, and every
+// blocked read pins a stack. This server serves the ServerConfig surface
+// on SHARDED epoll reactors: `reactor_threads` threads (default one per
+// core) each own a slice of the connections end-to-end — their epoll set,
+// their frame reassembly, their outbox writes, their idle sweep, their
+// eventfd. Thread count is bounded by cores, not by clients, and no lock
+// is shared between reactors on the data path: a connection's life
+// happens entirely on its owning shard.
 //
 // Dispatch: who runs the CPU work of an exchange (decode, handler,
 // encode). Both modes run the same serve(Job) body.
@@ -83,14 +82,14 @@
 // is dropped after decode, before the handler; the remaining budget
 // reaches handlers via soap::DeadlineScope.
 //
-// Failure taxonomy matches the pool: DecodeError -> in-band soap:Client
-// fault, SoapFaultError/std::exception -> fault envelope, frame-level
+// Failure taxonomy: DecodeError -> in-band soap:Client fault,
+// SoapFaultError/std::exception -> fault envelope, frame-level
 // TransportError (bad magic, over-limit length) -> the connection is cut.
 // A stream handler that fails before its first response chunk gets a v1
 // fault envelope; after that the connection is cut (chunks cannot be
-// retracted). read_timeout_ms is the same slowloris defense: a peer that
-// goes silent for that long is disconnected by its shard's idle sweep
-// (a connection parked by OUR backpressure is exempt).
+// retracted). read_timeout_ms is the slowloris defense: a peer that goes
+// silent for that long is disconnected by its shard's idle sweep (a
+// connection parked by OUR backpressure is exempt).
 #pragma once
 
 #include <array>

@@ -1,11 +1,10 @@
 #include "transport/server.hpp"
 
 #include "transport/internal/event_server.hpp"
-#include "transport/internal/server_pool.hpp"
 
 namespace bxsoap::transport {
 
-std::string ServerConfig::validate(ConcurrencyModel model) const {
+std::string ServerConfig::validate() const {
   std::vector<std::string> errors;
   const auto fail = [&errors](std::string msg) {
     errors.push_back(std::move(msg));
@@ -17,28 +16,7 @@ std::string ServerConfig::validate(ConcurrencyModel model) const {
   if (!handler && !stream_handler) {
     fail("at least one of handler / stream_handler must be set");
   }
-  if (model == ConcurrencyModel::kThreadPerConnection) {
-    if (reactor_threads > 0) {
-      fail("reactor_threads is meaningless with kThreadPerConnection "
-           "(there is no reactor); use kEventLoop or leave it 0");
-    }
-    if (worker_threads > 0) {
-      fail("worker_threads is meaningless with kThreadPerConnection "
-           "(workers are one-per-connection); use kEventLoop or leave it 0");
-    }
-    if (reuse_port) {
-      fail("reuse_port shards listeners across reactors; it requires "
-           "kEventLoop");
-    }
-    if (max_inflight_per_conn > 0) {
-      fail("max_inflight_per_conn is meaningless with "
-           "kThreadPerConnection (each connection is served serially, so "
-           "its in-flight depth is already 1); use kEventLoop or leave "
-           "it 0");
-    }
-  }
-  if (model == ConcurrencyModel::kEventLoop && worker_threads == 0 &&
-      max_inflight_per_conn > 0) {
+  if (worker_threads == 0 && max_inflight_per_conn > 0) {
     fail("max_inflight_per_conn needs a worker pool: with worker_threads "
          "= 0 each exchange runs inline on its reactor, so a connection "
          "never has more than one request in flight; set worker_threads "
@@ -127,25 +105,14 @@ std::string ServerConfig::validate(ConcurrencyModel model) const {
   return joined;
 }
 
-std::unique_ptr<SoapServer> SoapServer::create(ConcurrencyModel model,
+std::unique_ptr<SoapServer> SoapServer::create(ConcurrencyModel /*model*/,
                                                ServerConfig config) {
-  const std::string errors = config.validate(model);
+  const std::string errors = config.validate();
   if (!errors.empty()) {
     throw TransportError("invalid ServerConfig: " + errors);
   }
-  if (config.metrics_prefix.empty()) {
-    // Per-model default namespace, so BENCH snapshots from the two models
-    // never collide under one prefix.
-    config.metrics_prefix =
-        model == ConcurrencyModel::kThreadPerConnection ? "pool" : "event";
-  }
-  switch (model) {
-    case ConcurrencyModel::kThreadPerConnection:
-      return std::make_unique<SoapServerPool>(std::move(config));
-    case ConcurrencyModel::kEventLoop:
-      return std::make_unique<SoapEventServer>(std::move(config));
-  }
-  throw TransportError("unknown concurrency model");
+  if (config.metrics_prefix.empty()) config.metrics_prefix = "event";
+  return std::make_unique<SoapEventServer>(std::move(config));
 }
 
 }  // namespace bxsoap::transport

@@ -1,20 +1,17 @@
-// The unified server surface: one config, one interface, two concurrency
-// models.
+// The SOAP server surface: one config, one interface, one server.
 //
-// SoapServerPool (thread-per-connection) and SoapEventServer (sharded epoll
-// reactors that serve exchanges inline, or hand them to an optional worker
-// pool) answer the same wire protocol and expose the same
-// statistics; what differs is how they spend threads. This header makes
-// that a RUNTIME choice: build one ServerConfig, pick a ConcurrencyModel,
-// and SoapServer::create returns whichever implementation fits the
-// deployment. Benchmarks and chaos tests drive both models through this
-// interface with the selection as a parameter instead of a code path.
+// SoapServer::create builds the sharded epoll event server
+// (transport/internal/event_server.hpp). How it spends threads is
+// configuration, not a choice of class: `reactor_threads` sets the reactor
+// shards, and `worker_threads` decides who runs an exchange. At 0 (the
+// default) the reactor that owns the connection serves it inline; at N > 0
+// a pool of N workers does, which is the choice for slow or blocking
+// handlers.
 //
-// This API is STABLE as of PR 6: SoapServer::create is the only way to
-// construct a server (the concrete classes live in transport/internal/ and
-// are not part of the public surface), ServerConfig is validated up front,
-// and the metrics contract below is fixed. Reactor topology is a config
-// knob (`reactor_threads`), not a third server class.
+// SoapServer::create is the only way to construct a server (the concrete
+// class lives in transport/internal/ and is not part of the public
+// surface), ServerConfig is validated up front, and the metrics contract
+// below is fixed.
 #pragma once
 
 #include <chrono>
@@ -36,13 +33,13 @@
 
 namespace bxsoap::transport {
 
-/// How a server spends threads on connections.
+/// How a server spends threads on connections. One model is left; the
+/// parameter stays so existing SoapServer::create callers keep compiling.
 enum class ConcurrencyModel {
-  kThreadPerConnection,  ///< SoapServerPool: one blocking worker per client
-  kEventLoop,            ///< SoapEventServer: epoll reactors (+ optional workers)
+  kEventLoop,  ///< SoapEventServer: epoll reactors (+ optional workers)
 };
 
-/// Everything either server needs. Only `encoding` and `handler` (or
+/// Everything the server needs. Only `encoding` and `handler` (or
 /// `stream_handler`) are mandatory; the rest default to the historical
 /// behavior.
 struct ServerConfig {
@@ -70,32 +67,30 @@ struct ServerConfig {
 
   /// Observability hook. When set, the server records under
   /// "<metrics_prefix>.*": per-stage timings and exchange/fault counts
-  /// (MetricsObserver naming scheme), connections.active /
-  /// workers.unreaped gauges, connections.accepted counter, io.* socket
-  /// tallies, pool.hit / pool.miss / pool.recycled_bytes buffer-pool
-  /// counters, bxsa.* codec stats if the encoding supports them, and
+  /// (MetricsObserver naming scheme), the connections.active gauge, the
+  /// connections.accepted counter, io.* socket tallies, pool.hit /
+  /// pool.miss / pool.recycled_bytes buffer-pool counters, bxsa.* codec
+  /// stats if the encoding supports them, and
   /// stream.{chunks,flushes,buffered_bytes} for the chunked path (the
-  /// waterline's peak field is the residency high-water mark), plus the
-  /// overload-control tallies: shed (requests refused with an Overloaded
-  /// fault) and expired.dropped (requests dropped after decode because
-  /// their deadline had passed). The event server adds reactor.*
-  /// (wakeups, queue.depth, rolled-up loop.ns), per-shard
-  /// reactor.N.{loop.ns,connections}, overload.parks (connections whose
-  /// EPOLLIN was parked on a full worker queue), and the queue.waterline
-  /// (requests admitted but not yet served) whose peak proves the
-  /// max_queue_depth bound held. The registry must
-  /// outlive the server. Null = zero instrumentation.
+  /// waterline's peak field is the residency high-water mark). Overload
+  /// control adds shed (requests refused with an Overloaded fault),
+  /// expired.dropped (requests dropped after decode because their
+  /// deadline had passed), overload.parks (connections whose EPOLLIN was
+  /// parked on a full worker queue) and the queue.waterline (requests
+  /// admitted but not yet served) whose peak proves the max_queue_depth
+  /// bound held. The reactors add reactor.* (wakeups, queue.depth,
+  /// rolled-up loop.ns) and per-shard reactor.N.{loop.ns,connections}.
+  /// The registry must outlive the server. Null = zero instrumentation.
   obs::Registry* registry = nullptr;
-  /// Metric namespace. Empty (the default) = create() picks the model's
-  /// canonical prefix: "pool" for kThreadPerConnection, "event" for
-  /// kEventLoop, so snapshots from the two models never collide.
+  /// Metric namespace. Empty (the default) = "event", the canonical
+  /// prefix benches and dashboards read.
   std::string metrics_prefix;
 
   // ---- hardening knobs ------------------------------------------------------
 
   /// Per-connection read timeout in milliseconds (slowloris defense): a
   /// peer that opens a frame and stalls gets disconnected instead of
-  /// pinning a worker forever. 0 (the default) keeps the historical
+  /// holding its connection open forever. 0 (the default) keeps the historical
   /// block-forever behavior, which idle keep-alive clients rely on.
   int read_timeout_ms = 0;
 
@@ -103,40 +98,33 @@ struct ServerConfig {
   /// against these BEFORE any allocation.
   FrameLimits frame_limits{};
 
-  /// Maximum concurrent worker threads; 0 = unbounded. At the ceiling the
-  /// accept loop stops accepting, so excess clients queue in the kernel's
-  /// listen backlog (and beyond it, get connection refused) instead of
-  /// spawning unbounded threads. The event server reads this as its
-  /// connection ceiling: at the limit it parks the listener(s) instead of
-  /// spawning anything, with the same kernel-backlog overflow.
-  std::size_t max_workers = 0;
+  /// Maximum concurrent connections; 0 = unbounded. At the ceiling the
+  /// server parks its listener(s), so excess clients queue in the kernel's
+  /// listen backlog (and beyond it, get connection refused). Not to be
+  /// confused with worker_threads, which sizes the worker pool.
+  std::size_t max_connections = 0;
 
   /// Admission bound on requests read off the wire but not yet served;
   /// 0 = unbounded (the historical behavior — and an unbounded memory /
   /// latency liability under sustained overload). A request past the
   /// bound is SHED — answered immediately, in its pipeline slot, with a
   /// retryable soap:Server/"Overloaded" fault carrying a Retry-After hint
-  /// — so the bound is never exceeded. On the event server serving inline
-  /// (worker_threads = 0) this bounds the exchanges in progress across all
-  /// reactors, from admission until the response is committed; nothing
-  /// parks, since a reactor busy serving is not reading. With a worker
-  /// pool it bounds the shared worker queue, and the request that fills
-  /// the queue to this depth also PARKS its connection's EPOLLIN
-  /// (backpressure through the kernel TCP window, the same mechanism
-  /// streaming uses) until workers drain it to half. On the
-  /// thread-per-connection pool —
-  /// which has no shared queue — this bounds concurrently in-flight
-  /// exchanges (request read, response not yet written); a request past
-  /// the bound is shed with the same fault. See DESIGN.md §12.
+  /// — so the bound is never exceeded. Serving inline (worker_threads =
+  /// 0) this bounds the exchanges in progress across all reactors, from
+  /// admission until the response is committed; nothing parks, since a
+  /// reactor busy serving is not reading. With a worker pool it bounds the
+  /// shared worker queue, and the request that fills the queue to this
+  /// depth also PARKS its connection's EPOLLIN (backpressure through the
+  /// kernel TCP window, the same mechanism streaming uses) until workers
+  /// drain it to half. See DESIGN.md §12.
   std::size_t max_queue_depth = 0;
 
-  /// SoapEventServer with a worker pool only: pipelined requests one
-  /// connection may have in flight (dispatched, response not yet
-  /// released) before further requests on that connection are shed with
-  /// the Overloaded fault, so one firehose pipeliner cannot monopolize
-  /// the worker queue. 0 = unbounded. A validation error with
-  /// kThreadPerConnection, and with kEventLoop at worker_threads = 0: both
-  /// serve each connection serially (its in-flight depth is already 1).
+  /// Worker pool only: pipelined requests one connection may have in
+  /// flight (dispatched, response not yet released) before further
+  /// requests on that connection are shed with the Overloaded fault, so
+  /// one firehose pipeliner cannot monopolize the worker queue. 0 =
+  /// unbounded. A validation error at worker_threads = 0, which serves
+  /// each connection serially (its in-flight depth is already 1).
   std::size_t max_inflight_per_conn = 0;
 
   /// Retry-After hint (milliseconds) carried in the detail of shed
@@ -144,28 +132,25 @@ struct ServerConfig {
   /// (ReliableCaller) waits before retrying. Must be >= 0.
   std::chrono::milliseconds shed_retry_after{50};
 
-  /// SoapEventServer only: who runs an exchange's decode/handle/encode.
+  /// Who runs an exchange's decode/handle/encode.
   /// 0 (the default) = no worker pool: the reactor that owns the
   /// connection serves each request inline, run to completion, and
   /// flushes the response before it polls again — no thread handoff, the
   /// fastest choice for handlers that compute and return. N > 0 = a fixed
   /// pool of N workers off the reactors: choose it for slow or blocking
   /// handlers, which inline would stall every other connection on their
-  /// reactor. Setting it with kThreadPerConnection is a validation error
-  /// (that model's workers are one-per-connection by definition).
+  /// reactor.
   std::size_t worker_threads = 0;
 
-  /// SoapEventServer only: number of reactor shards, each owning its
-  /// connections' socket I/O end-to-end (own epoll set, outbox, idle
-  /// sweep, eventfd). 0 = one per core. Setting it with
-  /// kThreadPerConnection is a validation error.
+  /// Number of reactor shards, each owning its connections' socket I/O
+  /// end-to-end (own epoll set, outbox, idle sweep, eventfd). 0 = one per
+  /// core.
   std::size_t reactor_threads = 0;
 
-  /// SoapEventServer only: give every reactor its own SO_REUSEPORT
-  /// listener and let the kernel spread connections across shards, instead
-  /// of the default single accept loop that assigns round-robin. Kernel
-  /// hashing balances well at scale but is not deterministic; the default
-  /// is exactly fair.
+  /// Give every reactor its own SO_REUSEPORT listener and let the kernel
+  /// spread connections across shards, instead of the default single
+  /// accept loop that assigns round-robin. Kernel hashing balances well at
+  /// scale but is not deterministic; the default is exactly fair.
   bool reuse_port = false;
 
   /// Sizing of the server's payload BufferPool (size classes, shared-tier
@@ -236,14 +221,14 @@ struct ServerConfig {
   std::size_t respcache_max_entries = 1024;
   std::size_t respcache_max_bytes = 4u << 20;  // 4 MiB
 
-  /// Check this config against `model`. Returns an empty string when the
-  /// config is usable, otherwise a "; "-separated list of actionable
-  /// errors. create() calls this and throws TransportError on any error.
-  std::string validate(ConcurrencyModel model) const;
+  /// Returns an empty string when the config is usable, otherwise a
+  /// "; "-separated list of actionable errors. create() calls this and
+  /// throws TransportError on any error.
+  std::string validate() const;
 };
 
-/// What every server implementation answers for. Construct via create():
-/// the concrete classes (transport/internal/) are implementation detail.
+/// What the server answers for. Construct via create(): the concrete class
+/// (transport/internal/) is implementation detail.
 class SoapServer {
  public:
   virtual ~SoapServer() = default;
@@ -255,16 +240,15 @@ class SoapServer {
   virtual std::size_t exchanges() const noexcept = 0;
   /// Exchanges whose response was a fault envelope.
   virtual std::size_t faults() const noexcept = 0;
-  /// Threads dedicated to serving traffic right now: the pool's live
-  /// per-connection workers, or the event server's reactors plus its fixed
-  /// worker pool (just the reactors with worker_threads = 0). The number
-  /// the two concurrency models exist to trade.
+  /// Threads dedicated to serving traffic: the reactors plus the fixed
+  /// worker pool (just the reactors with worker_threads = 0). Bounded by
+  /// configuration, not by the number of clients.
   virtual std::size_t serving_threads() const noexcept = 0;
   /// Graceful shutdown; idempotent.
   virtual void stop() = 0;
 
-  /// Construct the implementation for `model`, already listening. Throws
-  /// TransportError when config.validate(model) reports errors.
+  /// Construct the server, already listening. Throws TransportError when
+  /// config.validate() reports errors.
   static std::unique_ptr<SoapServer> create(ConcurrencyModel model,
                                             ServerConfig config);
 };

@@ -12,6 +12,7 @@
 #include "common/lzss.hpp"
 #include "services/verification.hpp"
 #include "soap/engine.hpp"
+#include "support/server_legs.hpp"
 #include "transport/bindings.hpp"
 #include "transport/compress.hpp"
 #include "transport/framing.hpp"
@@ -29,7 +30,7 @@ void echo_stream(StreamRequest& req, ResponseWriter& resp) {
   resp.finish();
 }
 
-class CompressChaos : public ::testing::TestWithParam<ConcurrencyModel> {
+class CompressChaos : public ::testing::TestWithParam<ServerLeg> {
  protected:
   static std::unique_ptr<SoapServer> start() {
     ServerConfig cfg;
@@ -37,11 +38,8 @@ class CompressChaos : public ::testing::TestWithParam<ConcurrencyModel> {
     cfg.handler = services::verification_handler;
     cfg.stream_handler = echo_stream;
     cfg.compress_transforms = transforms::kAll;
-    if (GetParam() == ConcurrencyModel::kEventLoop) {
-      cfg.reactor_threads = 2;
-      cfg.worker_threads = 2;
-    }
-    return SoapServer::create(GetParam(), std::move(cfg));
+    cfg.reactor_threads = 2;
+    return create_server(GetParam(), std::move(cfg));
   }
 
   /// Hello/Accept by hand, offering `offer`; returns the negotiated set.
@@ -199,14 +197,8 @@ TEST_P(CompressChaos, MessageSizeBombIsRejectedWithoutAllocating) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, CompressChaos,
-                         ::testing::Values(
-                             ConcurrencyModel::kThreadPerConnection,
-                             ConcurrencyModel::kEventLoop),
-                         [](const auto& info) {
-                           return info.param ==
-                                          ConcurrencyModel::kThreadPerConnection
-                                      ? "pool"
-                                      : "event";
-                         });
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_name);
 
 }  // namespace bxsoap::transport

@@ -1,5 +1,5 @@
 // Full-engine chaos: injected transport faults against live engines and
-// the hardened server pool. Every scenario is seeded and replayable; the
+// the hardened event server. Every scenario is seeded and replayable; the
 // invariant everywhere is the resilience contract — an exchange either
 // succeeds (possibly after retry) or surfaces a typed error / fault
 // envelope. Never a crash, a hang, or a wedged server.
@@ -28,18 +28,18 @@ SoapEnvelope data_request(std::size_t n) {
   return services::make_data_request(workload::make_lead_dataset(n));
 }
 
-// Byte-level chaos against the hardened pool: each seed derives one fault
-// spec, applies it to a raw framed exchange, and the outcome must be a
-// clean response, a fault envelope, or a typed Error. After the storm the
-// pool must still serve.
-TEST(EngineChaos, RawStreamFaultMatrixNeverWedgesThePool) {
+// Byte-level chaos against the hardened server: each seed derives one
+// fault spec, applies it to a raw framed exchange, and the outcome must be
+// a clean response, a fault envelope, or a typed Error. After the storm
+// the server must still serve.
+TEST(EngineChaos, RawStreamFaultMatrixNeverWedgesTheServer) {
   ServerConfig cfg;
   cfg.encoding = AnyEncoding::from(BxsaEncoding{});
   cfg.handler = services::verification_handler;
   cfg.read_timeout_ms = 250;  // a stalled or short-counted frame times out
   cfg.frame_limits.max_message_bytes = 1u << 20;
-  auto pool = SoapServer::create(ConcurrencyModel::kThreadPerConnection,
-                                 std::move(cfg));
+  auto server =
+      SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
 
   BxsaEncoding enc;
   const SoapEnvelope req = data_request(20);
@@ -55,7 +55,7 @@ TEST(EngineChaos, RawStreamFaultMatrixNeverWedgesThePool) {
     pc.max_delay_ms = 3;
     const FaultSpec spec = FaultPlan(seed, pc).for_connection(seed);
     try {
-      FaultyStream<TcpStream> fs(TcpStream::connect(pool->port()), spec);
+      FaultyStream<TcpStream> fs(TcpStream::connect(server->port()), spec);
       fs.inner().set_read_timeout(2000);  // hang detector, not the contract
       soap::WireMessage m;
       m.content_type = std::string(BxsaEncoding::content_type());
@@ -73,9 +73,9 @@ TEST(EngineChaos, RawStreamFaultMatrixNeverWedgesThePool) {
   EXPECT_GT(clean, 0);
   EXPECT_GT(faulted, 0);
 
-  // The pool survived all of it.
+  // The server survived all of it.
   SoapEngine<BxsaEncoding, TcpClientBinding> client(
-      {}, TcpClientBinding(pool->port()));
+      BxsaEncoding{}, TcpClientBinding(server->port()));
   EXPECT_TRUE(services::parse_verify_response(client.call(req)).ok);
 }
 
@@ -85,8 +85,8 @@ TEST(EngineChaos, RetryingClientResolvesEveryExchange) {
   ServerConfig cfg;
   cfg.encoding = AnyEncoding::from(BxsaEncoding{});
   cfg.handler = services::verification_handler;
-  auto pool = SoapServer::create(ConcurrencyModel::kThreadPerConnection,
-                                 std::move(cfg));
+  auto server =
+      SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
 
   const SoapEnvelope req = data_request(10);
   int ok = 0;
@@ -98,8 +98,9 @@ TEST(EngineChaos, RetryingClientResolvesEveryExchange) {
     FaultPlanConfig pc;
     pc.max_delay_ms = 2;
     SoapEngine<BxsaEncoding, FaultyBinding<TcpClientBinding>> client(
-        {}, FaultyBinding<TcpClientBinding>(TcpClientBinding(pool->port()),
-                                            FaultPlan(seed, pc)));
+        BxsaEncoding{},
+        FaultyBinding<TcpClientBinding>(TcpClientBinding(server->port()),
+                                        FaultPlan(seed, pc)));
     RetryPolicy policy;
     policy.max_attempts = 8;
     policy.initial_backoff = std::chrono::milliseconds(0);
@@ -116,28 +117,27 @@ TEST(EngineChaos, RetryingClientResolvesEveryExchange) {
   EXPECT_GT(ok, 0);        // clean traffic flows
   EXPECT_GT(faulted, 0);   // corrupted payloads answered in-band
 
-  // Pool still healthy.
+  // Server still healthy.
   SoapEngine<BxsaEncoding, TcpClientBinding> client(
-      {}, TcpClientBinding(pool->port()));
+      BxsaEncoding{}, TcpClientBinding(server->port()));
   EXPECT_TRUE(services::parse_verify_response(client.call(req)).ok);
 }
 
-// The satellite scenario: one client opens a frame and stalls forever; the
-// pool's read timeout must keep it from pinning a worker while other
-// clients are served untouched.
+// One client opens a frame and stalls forever; the server's read timeout
+// must cut it while other clients are served untouched.
 TEST(EngineChaos, MisbehavingClientCannotStallOthers) {
   ServerConfig cfg;
   cfg.encoding = AnyEncoding::from(BxsaEncoding{});
   cfg.handler = services::verification_handler;
   cfg.read_timeout_ms = 150;
-  auto pool = SoapServer::create(ConcurrencyModel::kThreadPerConnection,
-                                 std::move(cfg));
+  auto server =
+      SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
 
   // The slowloris: valid magic, then silence.
-  TcpStream slow = TcpStream::connect(pool->port());
+  TcpStream slow = TcpStream::connect(server->port());
   slow.write_all(std::string_view("BXT"));
 
-  // Meanwhile, honest clients hammer the pool.
+  // Meanwhile, honest clients hammer the server.
   constexpr int kClients = 4;
   constexpr int kCallsEach = 3;
   std::atomic<int> failures{0};
@@ -146,7 +146,7 @@ TEST(EngineChaos, MisbehavingClientCannotStallOthers) {
     threads.emplace_back([&, c] {
       try {
         SoapEngine<BxsaEncoding, TcpClientBinding> client(
-            {}, TcpClientBinding(pool->port()));
+            BxsaEncoding{}, TcpClientBinding(server->port()));
         for (int i = 0; i < kCallsEach; ++i) {
           const SoapEnvelope resp =
               client.call(data_request(5 + static_cast<std::size_t>(c)));
@@ -159,7 +159,7 @@ TEST(EngineChaos, MisbehavingClientCannotStallOthers) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(pool->exchanges(),
+  EXPECT_EQ(server->exchanges(),
             static_cast<std::size_t>(kClients * kCallsEach));
 
   // The stalled connection gets cut by the read timeout: our next read

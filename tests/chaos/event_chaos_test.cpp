@@ -1,6 +1,6 @@
 // Chaos against the epoll event server: truncations, resets and delays
 // mid-frame, pipelined bursts abandoned by the client, and slowloris
-// peers. The invariant is the same resilience contract as the pool —
+// peers. The invariant is the server's resilience contract —
 // every exchange ends in a clean response, an in-band soap:Client fault,
 // or a clean disconnect. Never a hang, a wedged reactor, or a leaked
 // connection.
@@ -82,7 +82,7 @@ void expect_drains_to_zero(SoapServer& server) {
   EXPECT_EQ(server.active_connections(), 0u);
 }
 
-// Byte-level chaos matrix, ported from the pool suite: each seed derives
+// Byte-level chaos matrix, shared with EngineChaos: each seed derives
 // one fault spec applied to a raw framed exchange.
 TEST_P(EventChaos, RawStreamFaultMatrixNeverWedgesTheServer) {
   ServerConfig cfg;

@@ -16,6 +16,7 @@
 
 #include "obs/metrics.hpp"
 #include "soap/security.hpp"
+#include "support/server_legs.hpp"
 #include "transport/bindings.hpp"
 #include "transport/compress.hpp"
 #include "transport/fault.hpp"
@@ -87,7 +88,7 @@ struct ChaosServer {
       std::make_shared<std::atomic<bool>>(false);
   std::unique_ptr<SoapServer> server;
 
-  ChaosServer(ConcurrencyModel model, std::uint8_t transforms) {
+  ChaosServer(ServerLeg leg, std::uint8_t transforms) {
     ServerConfig cfg;
     cfg.encoding = AnyEncoding::from(BxsaEncoding{});
     cfg.handler = [](SoapEnvelope env) { return env; };
@@ -105,7 +106,7 @@ struct ChaosServer {
     cfg.metrics_prefix = "chaos";
     cfg.stream_auth = make_hmac_stream_auth(kKey);
     cfg.compress_transforms = transforms;
-    server = SoapServer::create(model, std::move(cfg));
+    server = create_server(leg, std::move(cfg));
   }
 
   std::uint64_t tag_failures() const {
@@ -155,18 +156,13 @@ void deliver(std::uint16_t port, std::span<const std::uint8_t> bytes,
   conn.close();
 }
 
-class SignedStreamChaos : public ::testing::TestWithParam<ConcurrencyModel> {
+class SignedStreamChaos : public ::testing::TestWithParam<ServerLeg> {
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    BothModels, SignedStreamChaos,
-    ::testing::Values(ConcurrencyModel::kThreadPerConnection,
-                      ConcurrencyModel::kEventLoop),
-    [](const auto& info) {
-      return info.param == ConcurrencyModel::kThreadPerConnection
-                 ? "Pool"
-                 : "EventLoop";
-    });
+INSTANTIATE_TEST_SUITE_P(BothModels, SignedStreamChaos,
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_title);
 
 TEST_P(SignedStreamChaos, ValidSignedWireIsAcceptedBaseline) {
   // Control experiment: the hand-rolled handshake + recorded wire is

@@ -1,5 +1,5 @@
 // Chaos against the BXTP v2 streaming path: chunked transfers truncated
-// at every chunk boundary (and mid-chunk), against both server models.
+// at every chunk boundary (and mid-chunk), on both server dispatch legs.
 // The invariant: a torn stream costs its own connection and nothing else —
 // the server drops it cleanly, leaks no stream thread or pooled buffer,
 // and keeps serving fresh exchanges.
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bxsa/stream_writer.hpp"
+#include "support/server_legs.hpp"
 #include "transport/bindings.hpp"
 #include "transport/fault.hpp"
 #include "transport/framing.hpp"
@@ -86,17 +87,12 @@ void echo_handler(StreamRequest& req, ResponseWriter& resp) {
   resp.finish();
 }
 
-class StreamChaos : public ::testing::TestWithParam<ConcurrencyModel> {};
+class StreamChaos : public ::testing::TestWithParam<ServerLeg> {};
 
 INSTANTIATE_TEST_SUITE_P(BothModels, StreamChaos,
-                         ::testing::Values(ConcurrencyModel::kThreadPerConnection,
-                                           ConcurrencyModel::kEventLoop),
-                         [](const auto& info) {
-                           return info.param ==
-                                          ConcurrencyModel::kThreadPerConnection
-                                      ? "Pool"
-                                      : "EventLoop";
-                         });
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_title);
 
 TEST_P(StreamChaos, TruncationAtEveryChunkBoundaryDropsCleanly) {
   ServerConfig cfg;
@@ -105,7 +101,7 @@ TEST_P(StreamChaos, TruncationAtEveryChunkBoundaryDropsCleanly) {
   cfg.stream_handler = echo_handler;
   cfg.stream_chunk_bytes = 512;
   cfg.read_timeout_ms = 500;  // a cut stream must not linger past this
-  auto server = SoapServer::create(GetParam(), std::move(cfg));
+  auto server = create_server(GetParam(), std::move(cfg));
 
   const RecordedWire wire = record_stream_wire(512, 600);
   ASSERT_GT(wire.cuts.size(), 6u);  // several data chunks plus patches
@@ -158,7 +154,7 @@ TEST_P(StreamChaos, AbandonedMidStreamClientsDoNotStarveOthers) {
   cfg.stream_handler = echo_handler;
   cfg.stream_chunk_bytes = 1024;
   cfg.read_timeout_ms = 300;
-  auto server = SoapServer::create(GetParam(), std::move(cfg));
+  auto server = create_server(GetParam(), std::move(cfg));
 
   const RecordedWire wire = record_stream_wire(1024, 2000);
   std::thread saboteur([&] {

@@ -12,6 +12,7 @@
 #include "bxsa/dict.hpp"
 #include "services/verification.hpp"
 #include "soap/engine.hpp"
+#include "support/server_legs.hpp"
 #include "transport/bindings.hpp"
 #include "transport/framing.hpp"
 #include "transport/server.hpp"
@@ -22,17 +23,14 @@ namespace {
 
 using namespace bxsoap::soap;
 
-class V3Chaos : public ::testing::TestWithParam<ConcurrencyModel> {
+class V3Chaos : public ::testing::TestWithParam<ServerLeg> {
  protected:
   static std::unique_ptr<SoapServer> start() {
     ServerConfig cfg;
     cfg.encoding = AnyEncoding::from(BxsaEncoding{});
     cfg.handler = services::verification_handler;
-    if (GetParam() == ConcurrencyModel::kEventLoop) {
-      cfg.reactor_threads = 2;
-      cfg.worker_threads = 2;
-    }
-    return SoapServer::create(GetParam(), std::move(cfg));
+    cfg.reactor_threads = 2;
+    return create_server(GetParam(), std::move(cfg));
   }
 
   /// The connection was cut if the next read sees EOF/reset instead of
@@ -163,15 +161,9 @@ TEST_P(V3Chaos, SecondHelloCutsTheConnection) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, V3Chaos,
-                         ::testing::Values(
-                             ConcurrencyModel::kThreadPerConnection,
-                             ConcurrencyModel::kEventLoop),
-                         [](const auto& info) {
-                           return info.param ==
-                                          ConcurrencyModel::kThreadPerConnection
-                                      ? "pool"
-                                      : "event";
-                         });
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_name);
 
 }  // namespace
 }  // namespace bxsoap::transport

@@ -322,7 +322,7 @@ TEST(ReliableCaller, OpenCircuitBreakerFailsFastWithoutTouchingTheWire) {
   EXPECT_EQ(registry.counter("client.retry.breaker.rejected").value(), 1u);
 }
 
-// ---- end to end: retry over a real pool with injected faults ---------------
+// ---- end to end: retry over a real server with injected faults -------------
 
 TEST(ReliableCaller, RecoversFromInjectedConnectionReset) {
   using transport::FaultKind;
@@ -333,13 +333,14 @@ TEST(ReliableCaller, RecoversFromInjectedConnectionReset) {
   transport::ServerConfig cfg;
   cfg.encoding = AnyEncoding::from(BxsaEncoding{});
   cfg.handler = services::verification_handler;
-  auto pool = transport::SoapServer::create(
-      transport::ConcurrencyModel::kThreadPerConnection, std::move(cfg));
+  auto server = transport::SoapServer::create(
+      transport::ConcurrencyModel::kEventLoop, std::move(cfg));
 
   // First message dies before it leaves; the retry must reconnect and win.
   const FaultPlan plan = FaultPlan::script({{FaultKind::kReset, 0, 0, 0}});
   SoapEngine<BxsaEncoding, FaultyBinding<TcpClientBinding>> client(
-      {}, FaultyBinding<TcpClientBinding>(TcpClientBinding(pool->port()), plan));
+      BxsaEncoding{},
+      FaultyBinding<TcpClientBinding>(TcpClientBinding(server->port()), plan));
 
   obs::Registry registry;
   ReliableCaller caller(client, fast_policy(), &registry);
@@ -348,7 +349,7 @@ TEST(ReliableCaller, RecoversFromInjectedConnectionReset) {
   EXPECT_TRUE(services::parse_verify_response(resp).ok);
   EXPECT_EQ(registry.counter("client.retry.attempts").value(), 2u);
   EXPECT_EQ(registry.counter("client.retry.retries").value(), 1u);
-  EXPECT_EQ(pool->exchanges(), 1u);
+  EXPECT_EQ(server->exchanges(), 1u);
 }
 
 TEST(ReliableCaller, InjectedCorruptionComesBackAsClientFault) {
@@ -360,15 +361,16 @@ TEST(ReliableCaller, InjectedCorruptionComesBackAsClientFault) {
   transport::ServerConfig cfg;
   cfg.encoding = AnyEncoding::from(BxsaEncoding{});
   cfg.handler = services::verification_handler;
-  auto pool = transport::SoapServer::create(
-      transport::ConcurrencyModel::kThreadPerConnection, std::move(cfg));
+  auto server = transport::SoapServer::create(
+      transport::ConcurrencyModel::kEventLoop, std::move(cfg));
 
   // Truncate the first request's payload: the frame arrives intact, the
-  // BXSA bytes inside don't decode, and the pool answers with a fault the
+  // BXSA bytes inside don't decode, and the server answers with a fault the
   // retry layer must NOT retry.
   const FaultPlan plan = FaultPlan::script({{FaultKind::kTruncate, 4, 0, 0}});
   SoapEngine<BxsaEncoding, FaultyBinding<TcpClientBinding>> client(
-      {}, FaultyBinding<TcpClientBinding>(TcpClientBinding(pool->port()), plan));
+      BxsaEncoding{},
+      FaultyBinding<TcpClientBinding>(TcpClientBinding(server->port()), plan));
 
   obs::Registry registry;
   ReliableCaller caller(client, fast_policy(), &registry);
@@ -376,7 +378,7 @@ TEST(ReliableCaller, InjectedCorruptionComesBackAsClientFault) {
   ASSERT_TRUE(resp.is_fault());
   EXPECT_EQ(resp.fault().code, "soap:Client");
   EXPECT_EQ(registry.counter("client.retry.retries").value(), 0u);
-  EXPECT_EQ(pool->faults(), 1u);
+  EXPECT_EQ(server->faults(), 1u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "soap/engine.hpp"
 #include "transport/bindings.hpp"
+#include "transport/fault.hpp"
 #include "xdm/equal.hpp"
 
 namespace bxsoap::transport {
@@ -190,6 +191,23 @@ TEST(Framing, BadMagicRejected) {
   TcpStream client = TcpStream::connect(listener.port());
   EXPECT_THROW(read_frame(client), TransportError);
   server.join();
+}
+
+// The blocking reader never negotiates: on a v3 channel a Hello where a
+// response belongs is an unexpected frame kind, a TransportError.
+TEST(Framing, HelloInAResponseSlotIsRejected) {
+  MemoryStream in;
+  ByteWriter hello;
+  encode_hello(hello, HelloFrame{});
+  in.write_all(hello.bytes());
+  try {
+    read_frame_start(in, FrameLimits{}, /*accept_v3=*/true);
+    FAIL() << "a Hello was read as a frame start";
+  } catch (const TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected v3 frame kind"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

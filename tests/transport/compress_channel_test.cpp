@@ -2,8 +2,8 @@
 // the transform offer rides the v3 Hello/Accept, every downgrade pairing
 // stays byte-identical to the uncompressed channel, compressible traffic
 // shrinks the wire on both the message and the streamed path, and the
-// entropy probe keeps incompressible traffic out of the codec — against
-// BOTH server concurrency models.
+// entropy probe keeps incompressible traffic out of the codec — on both
+// server dispatch legs (worker pool and inline).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include "services/verification.hpp"
 #include "soap/channel_pool.hpp"
 #include "soap/engine.hpp"
+#include "support/server_legs.hpp"
 #include "transport/bindings.hpp"
 #include "transport/compress.hpp"
 #include "transport/server.hpp"
@@ -47,15 +48,12 @@ SoapEnvelope make_text_request(std::size_t repeats) {
   return SoapEnvelope::wrap(std::move(root));
 }
 
-struct CompressChannel : ::testing::TestWithParam<ConcurrencyModel> {
+struct CompressChannel : ::testing::TestWithParam<ServerLeg> {
   static std::unique_ptr<SoapServer> make_server(ServerConfig cfg = {}) {
     cfg.encoding = AnyEncoding::from(BxsaEncoding{});
     if (!cfg.handler) cfg.handler = services::verification_handler;
-    if (GetParam() == ConcurrencyModel::kEventLoop) {
-      cfg.reactor_threads = 2;
-      cfg.worker_threads = 2;
-    }
-    return SoapServer::create(GetParam(), std::move(cfg));
+    cfg.reactor_threads = 2;
+    return create_server(GetParam(), std::move(cfg));
   }
 
   static std::vector<std::uint8_t> encode_request(std::size_t count) {
@@ -326,15 +324,9 @@ TEST_P(CompressChannel, ChannelPoolNegotiatesCompressionOnEveryChannel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, CompressChannel,
-                         ::testing::Values(
-                             ConcurrencyModel::kThreadPerConnection,
-                             ConcurrencyModel::kEventLoop),
-                         [](const auto& info) {
-                           return info.param ==
-                                          ConcurrencyModel::kThreadPerConnection
-                                      ? "pool"
-                                      : "event";
-                         });
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_name);
 
 }  // namespace
 }  // namespace bxsoap::transport

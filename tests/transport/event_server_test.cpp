@@ -90,10 +90,9 @@ TEST(EventServer, ManyConcurrentClients) {
             static_cast<std::size_t>(kClients * kCallsEach));
 }
 
-// The tentpole behavior the thread-per-connection pool cannot offer: M
-// requests written back to back on ONE connection come back as M responses
-// in request order, even though their handlers may run concurrently on
-// different workers.
+// M requests written back to back on ONE connection come back as M
+// responses in request order, even though their handlers may run
+// concurrently on different workers.
 TEST(EventServer, PipelinedRequestsAnswerInOrder) {
   obs::Registry registry;
   auto server = make_server(&registry);
@@ -278,9 +277,9 @@ TEST(EventServer, MetricsAgreeWithTraffic) {
   EXPECT_EQ(registry.gauge("event.connections.active").value(), 0);
 }
 
-// max_workers is the connection ceiling: at the limit the listener parks,
-// excess clients queue in the kernel backlog, and everyone is eventually
-// served without concurrency ever exceeding the cap.
+// max_connections is the connection ceiling: at the limit the listener
+// parks, excess clients queue in the kernel backlog, and everyone is
+// eventually served without concurrency ever exceeding the cap.
 TEST(EventServer, ConnectionCeilingAppliesBackpressure) {
   ServerConfig cfg;
   cfg.encoding = AnyEncoding::from(BxsaEncoding{});
@@ -288,7 +287,7 @@ TEST(EventServer, ConnectionCeilingAppliesBackpressure) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     return services::verification_handler(std::move(req));
   };
-  cfg.max_workers = 2;
+  cfg.max_connections = 2;
   auto server = SoapServer::create(ConcurrencyModel::kEventLoop,
                                    std::move(cfg));
 
@@ -340,6 +339,138 @@ TEST(EventServer, XmlEncodingServed) {
   EXPECT_TRUE(services::parse_verify_response(resp).ok);
 }
 
+TEST(EventServer, HandlerFaultsPropagate) {
+  ServerConfig cfg;
+  cfg.encoding = AnyEncoding::from(BxsaEncoding{});
+  cfg.handler = [](SoapEnvelope) -> SoapEnvelope {
+    throw SoapFaultError("soap:Client", "nope");
+  };
+  auto server =
+      SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
+  SoapEngine<BxsaEncoding, TcpClientBinding> client(
+      BxsaEncoding{}, TcpClientBinding(server->port()));
+  SoapEnvelope resp = client.call(
+      SoapEnvelope::wrap(xdm::make_element(xdm::QName("x"))));
+  ASSERT_TRUE(resp.is_fault());
+  EXPECT_EQ(resp.fault().code, "soap:Client");
+  EXPECT_EQ(server->faults(), 1u);
+}
+
+// N parallel clients, a handler that faults on a known subset of requests,
+// and a Registry hooked into the server. The server's own tallies, the
+// registry's counters, the JSON snapshot and the clients' view of the
+// traffic must all agree.
+TEST(EventServer, ConcurrentMetricsAgreeWithClientTallies) {
+  constexpr int kClients = 6;
+  constexpr int kCallsEach = 8;
+
+  obs::Registry registry;
+  ServerConfig cfg;
+  cfg.encoding = AnyEncoding::from(BxsaEncoding{});
+  // Faults on request #0 of every client's batch (payload count == 7).
+  cfg.handler = [](SoapEnvelope req) -> SoapEnvelope {
+    SoapEnvelope resp = services::verification_handler(std::move(req));
+    if (services::parse_verify_response(resp).count == 7) {
+      throw SoapFaultError("soap:Client", "seven refused");
+    }
+    return resp;
+  };
+  cfg.registry = &registry;
+  auto server =
+      SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
+
+  std::atomic<int> ok_responses{0};
+  std::atomic<int> fault_responses{0};
+  // Engines live past the join so every connection is still open while
+  // the gauges and histograms are checked.
+  using Client = SoapEngine<BxsaEncoding, TcpClientBinding>;
+  std::vector<std::unique_ptr<Client>> engines;
+  for (int c = 0; c < kClients; ++c) {
+    engines.push_back(std::make_unique<Client>(
+        BxsaEncoding{}, TcpClientBinding(server->port())));
+  }
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Client& client = *engines[c];
+      for (int i = 0; i < kCallsEach; ++i) {
+        // One poisoned request (count 7) per client, the rest normal.
+        const std::size_t n = (i == 0) ? 7 : 10 + static_cast<std::size_t>(i);
+        SoapEnvelope resp = client.call(
+            services::make_data_request(workload::make_lead_dataset(n)));
+        if (resp.is_fault()) {
+          ++fault_responses;
+        } else {
+          ++ok_responses;
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  const std::size_t total = kClients * kCallsEach;
+  EXPECT_EQ(ok_responses.load() + fault_responses.load(),
+            static_cast<int>(total));
+  EXPECT_EQ(fault_responses.load(), kClients);
+
+  // Server-native counters.
+  EXPECT_EQ(server->exchanges(), total);
+  EXPECT_EQ(server->faults(), static_cast<std::size_t>(kClients));
+  EXPECT_EQ(server->active_connections(),
+            static_cast<std::size_t>(kClients));
+
+  // Registry view must match the server and the clients.
+  EXPECT_EQ(registry.counter("event.exchanges").value(), total);
+  EXPECT_EQ(registry.counter("event.faults").value(),
+            static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(registry.counter("event.connections.accepted").value(),
+            static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(registry.gauge("event.connections.active").value(),
+            static_cast<std::int64_t>(kClients));
+
+  // Per-stage timings. Decode, handler and encode run once per exchange,
+  // and so does frame_write: each small reply leaves in one write. The
+  // timer records just after the bytes reach the client, so give the
+  // reactor a moment to finish its last write. frame_read also counts
+  // reads that ended mid-frame, so it is only a floor.
+  const std::vector<std::string> stages = {"deserialize", "handler",
+                                           "serialize", "frame_write"};
+  const auto stage_count = [&](const std::string& stage) {
+    return registry.histogram("event.stage." + stage + ".ns").count();
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (std::chrono::steady_clock::now() < deadline &&
+         std::any_of(stages.begin(), stages.end(), [&](const auto& s) {
+           return stage_count(s) < total;
+         })) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (const auto& stage : stages) {
+    EXPECT_EQ(stage_count(stage), total) << stage;
+  }
+  EXPECT_GE(stage_count("frame_read"), total);
+  EXPECT_GT(registry.histogram("event.stage.handler.ns").sum(), 0u);
+
+  // Socket and codec tallies moved.
+  EXPECT_GT(registry.io("event.io").bytes_in.value(), 0u);
+  EXPECT_GT(registry.io("event.io").bytes_out.value(), 0u);
+  EXPECT_GT(registry.io("event.io").read_calls.value(), 0u);
+  const auto& codec = registry.codec("event.bxsa");
+  EXPECT_GT(codec.frames_by_type[1].value(), 0u);  // documents
+
+  // The JSON snapshot carries the same numbers.
+  const std::string json = registry.to_json();
+  EXPECT_NE(json.find("\"event.exchanges\":" + std::to_string(total)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"event.faults\":" + std::to_string(kClients)),
+            std::string::npos);
+  EXPECT_NE(json.find("event.stage.frame_write.ns"), std::string::npos);
+
+  server->stop();
+  EXPECT_EQ(registry.gauge("event.connections.active").value(), 0);
+}
+
 // ---- sharded-reactor behavior (PR 6 tentpole) -------------------------------
 
 std::unique_ptr<SoapServer> make_sharded(std::size_t reactors,
@@ -386,8 +517,8 @@ TEST(EventShard, ConnectionsDistributeRoundRobinAcrossReactors) {
   }
 }
 
-// serving_threads() is the contract the two models trade on: for the event
-// server it is exactly reactors + fixed workers, independent of clients.
+// serving_threads() is exactly reactors + fixed workers, independent of
+// clients.
 TEST(EventShard, ServingThreadsIsReactorsPlusWorkers) {
   auto server = make_sharded(3);
   EXPECT_EQ(server->serving_threads(), 5u);  // 3 reactors + 2 workers
@@ -454,7 +585,7 @@ TEST(EventShard, ConnectionCeilingSpansShards) {
   cfg.handler = services::verification_handler;
   cfg.reactor_threads = 2;
   cfg.worker_threads = 2;
-  cfg.max_workers = 2;
+  cfg.max_connections = 2;
   auto server = SoapServer::create(ConcurrencyModel::kEventLoop,
                                    std::move(cfg));
 

@@ -1,4 +1,4 @@
-// End-to-end overload control on both server models (DESIGN.md §12):
+// End-to-end overload control on the event server (DESIGN.md §12):
 // bounded admission (queue bound, per-connection inflight cap), shed
 // requests answered in their pipeline slot with the retryable Overloaded
 // fault, kernel-window backpressure parks, and deadline-expired drops
@@ -14,6 +14,7 @@
 #include "services/verification.hpp"
 #include "soap/engine.hpp"
 #include "soap/overload.hpp"
+#include "support/server_legs.hpp"
 #include "transport/bindings.hpp"
 #include "transport/framing.hpp"
 #include "transport/server.hpp"
@@ -228,58 +229,14 @@ TEST(EventOverload, DeadlineExpiredWhileQueuedNeverReachesTheHandler) {
   EXPECT_EQ(registry.counter("event.expired.dropped").value(), 1u);
 }
 
-// ---- thread-per-connection pool -------------------------------------------
-
-TEST(PoolOverload, InflightBoundShedsInOrderAndConnectionsStayUsable) {
-  Gate gate;
-  obs::Registry registry;
-  ServerConfig cfg;
-  cfg.encoding = AnyEncoding::from(BxsaEncoding{});
-  cfg.handler = gate.handler();
-  cfg.registry = &registry;
-  cfg.max_queue_depth = 1;  // pool reading: at most one exchange in flight
-  cfg.shed_retry_after = milliseconds(30);
-  auto server = SoapServer::create(ConcurrencyModel::kThreadPerConnection,
-                                   std::move(cfg));
-
-  TcpStream holder = TcpStream::connect(server->port());
-  write_frame(holder, encode_request(40));
-  ASSERT_TRUE(wait_until([&] { return gate.entered.load() == 1; }));
-
-  // Another connection pipelines two requests against a saturated pool:
-  // both shed, answered in order on that connection, which stays up.
-  TcpStream other = TcpStream::connect(server->port());
-  write_frame(other, encode_request(41));
-  write_frame(other, encode_request(42));
-  for (int i = 0; i < 2; ++i) {
-    const SoapEnvelope shed = decode(read_frame(other));
-    ASSERT_TRUE(shed.is_fault()) << "slot " << i;
-    EXPECT_TRUE(is_overloaded(shed.fault()));
-    EXPECT_EQ(retry_after_hint(shed.fault())->count(), 30);
-  }
-  EXPECT_EQ(registry.counter("pool.shed").value(), 2u);
-
-  gate.open.store(true, std::memory_order_release);
-  EXPECT_EQ(ok_count(decode(read_frame(holder))), 40u);
-
-  // Capacity is back: the shed-on connection serves normally.
-  write_frame(other, encode_request(43));
-  EXPECT_EQ(ok_count(decode(read_frame(other))), 43u);
-  EXPECT_EQ(server->faults(), 2u);
-}
-
-// The zero-budget drop must behave identically on both models: decoded,
+// The zero-budget drop must behave identically on both dispatch legs: decoded,
 // counted, answered with DeadlineExpired, handler never entered.
-class ExpiredDrop : public ::testing::TestWithParam<ConcurrencyModel> {};
+class ExpiredDrop : public ::testing::TestWithParam<ServerLeg> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Models, ExpiredDrop,
-    ::testing::Values(ConcurrencyModel::kThreadPerConnection,
-                      ConcurrencyModel::kEventLoop),
-    [](const auto& info) {
-      return info.param == ConcurrencyModel::kThreadPerConnection ? "pool"
-                                                                  : "event";
-    });
+INSTANTIATE_TEST_SUITE_P(Models, ExpiredDrop,
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_name);
 
 TEST_P(ExpiredDrop, ZeroBudgetRequestIsDroppedBeforeTheHandler) {
   std::atomic<int> handled{0};
@@ -291,9 +248,7 @@ TEST_P(ExpiredDrop, ZeroBudgetRequestIsDroppedBeforeTheHandler) {
     return services::verification_handler(std::move(env));
   };
   cfg.registry = &registry;
-  auto server = SoapServer::create(GetParam(), std::move(cfg));
-  const std::string prefix =
-      GetParam() == ConcurrencyModel::kThreadPerConnection ? "pool" : "event";
+  auto server = create_server(GetParam(), std::move(cfg));
 
   TcpStream conn = TcpStream::connect(server->port());
   write_frame(conn, encode_request_expired(50));
@@ -301,7 +256,7 @@ TEST_P(ExpiredDrop, ZeroBudgetRequestIsDroppedBeforeTheHandler) {
   ASSERT_TRUE(dropped.is_fault());
   EXPECT_EQ(dropped.fault().reason, kDeadlineExpiredReason);
   EXPECT_EQ(handled.load(), 0);
-  EXPECT_EQ(registry.counter(prefix + ".expired.dropped").value(), 1u);
+  EXPECT_EQ(registry.counter("event.expired.dropped").value(), 1u);
 
   // The connection survives the drop and the deadline context is cleared:
   // a fresh no-deadline request serves normally.
@@ -312,16 +267,12 @@ TEST_P(ExpiredDrop, ZeroBudgetRequestIsDroppedBeforeTheHandler) {
 
 // Deadline propagation all the way into the handler: remaining_deadline()
 // reports the stamped budget (minus queueing) inside, and nothing outside.
-class DeadlineContext : public ::testing::TestWithParam<ConcurrencyModel> {};
+class DeadlineContext : public ::testing::TestWithParam<ServerLeg> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Models, DeadlineContext,
-    ::testing::Values(ConcurrencyModel::kThreadPerConnection,
-                      ConcurrencyModel::kEventLoop),
-    [](const auto& info) {
-      return info.param == ConcurrencyModel::kThreadPerConnection ? "pool"
-                                                                  : "event";
-    });
+INSTANTIATE_TEST_SUITE_P(Models, DeadlineContext,
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_name);
 
 TEST_P(DeadlineContext, HandlerSeesTheRemainingBudget) {
   std::mutex mu;
@@ -335,7 +286,7 @@ TEST_P(DeadlineContext, HandlerSeesTheRemainingBudget) {
     }
     return services::verification_handler(std::move(env));
   };
-  auto server = SoapServer::create(GetParam(), std::move(cfg));
+  auto server = create_server(GetParam(), std::move(cfg));
 
   TcpStream conn = TcpStream::connect(server->port());
   write_frame(conn, encode_request_deadline(60, milliseconds(400)));
@@ -355,8 +306,8 @@ TEST(OverloadConfig, ValidationRejectsTheMeaninglessCombinations) {
   ServerConfig bad;
   bad.encoding = AnyEncoding::from(BxsaEncoding{});
   bad.handler = services::verification_handler;
-  bad.max_inflight_per_conn = 4;  // pool serves serially: depth is already 1
-  EXPECT_THROW(SoapServer::create(ConcurrencyModel::kThreadPerConnection,
+  bad.max_inflight_per_conn = 4;  // inline serves serially: depth is already 1
+  EXPECT_THROW(SoapServer::create(ConcurrencyModel::kEventLoop,
                                   std::move(bad)),
                TransportError);
 

@@ -19,71 +19,49 @@ ServerConfig valid_config() {
   return cfg;
 }
 
+// Both dispatch modes: inline on the reactors and a worker pool.
 TEST(ServerConfig, ValidConfigPassesBothModels) {
-  EXPECT_EQ(valid_config().validate(ConcurrencyModel::kThreadPerConnection),
-            "");
-  EXPECT_EQ(valid_config().validate(ConcurrencyModel::kEventLoop), "");
+  EXPECT_EQ(valid_config().validate(), "");
+  ServerConfig workers = valid_config();
+  workers.worker_threads = 2;
+  EXPECT_EQ(workers.validate(), "");
 }
 
 TEST(ServerConfig, MissingEncodingIsRejected) {
   ServerConfig cfg = valid_config();
   cfg.encoding = nullptr;
-  const std::string errors = cfg.validate(ConcurrencyModel::kEventLoop);
+  const std::string errors = cfg.validate();
   EXPECT_NE(errors.find("encoding"), std::string::npos) << errors;
 }
 
 TEST(ServerConfig, MissingHandlersAreRejected) {
   ServerConfig cfg = valid_config();
   cfg.handler = nullptr;
-  EXPECT_NE(cfg.validate(ConcurrencyModel::kEventLoop).find("handler"),
+  EXPECT_NE(cfg.validate().find("handler"),
             std::string::npos);
   // Either handler alone is enough.
   cfg.stream_handler = [](StreamRequest&, ResponseWriter&) {};
-  EXPECT_EQ(cfg.validate(ConcurrencyModel::kEventLoop), "");
-}
-
-TEST(ServerConfig, ReactorKnobsRejectedOnThreadPerConnection) {
-  ServerConfig cfg = valid_config();
-  cfg.reactor_threads = 4;
-  const std::string errors =
-      cfg.validate(ConcurrencyModel::kThreadPerConnection);
-  EXPECT_NE(errors.find("reactor_threads"), std::string::npos) << errors;
-  // The same knob is fine on the model it belongs to.
-  EXPECT_EQ(cfg.validate(ConcurrencyModel::kEventLoop), "");
-
-  ServerConfig workers = valid_config();
-  workers.worker_threads = 4;
-  EXPECT_NE(workers.validate(ConcurrencyModel::kThreadPerConnection)
-                .find("worker_threads"),
-            std::string::npos);
-
-  ServerConfig rp = valid_config();
-  rp.reuse_port = true;
-  EXPECT_NE(
-      rp.validate(ConcurrencyModel::kThreadPerConnection).find("reuse_port"),
-      std::string::npos);
-  EXPECT_EQ(rp.validate(ConcurrencyModel::kEventLoop), "");
+  EXPECT_EQ(cfg.validate(), "");
 }
 
 // Inline dispatch (worker_threads = 0) serves one request per connection
-// at a time, so a per-connection in-flight cap has nothing to bound — the
-// same reason the thread-per-connection check gives.
+// at a time, so a per-connection in-flight cap has nothing to bound.
 TEST(ServerConfig, InflightCapRequiresWorkersOnEventLoop) {
   ServerConfig cfg = valid_config();
   cfg.max_inflight_per_conn = 4;
-  const std::string errors = cfg.validate(ConcurrencyModel::kEventLoop);
+  const std::string errors = cfg.validate();
   EXPECT_NE(errors.find("max_inflight_per_conn"), std::string::npos)
       << errors;
   EXPECT_NE(errors.find("worker_threads"), std::string::npos) << errors;
   // With a worker pool the cap bounds real pipelined concurrency.
   cfg.worker_threads = 2;
-  EXPECT_EQ(cfg.validate(ConcurrencyModel::kEventLoop), "");
+  EXPECT_EQ(cfg.validate(), "");
 }
 
 TEST(ServerConfig, StreamChunkLargerThanFrameLimitIsRejected) {
   ServerConfig cfg = valid_config();
   cfg.stream_chunk_bytes = cfg.frame_limits.max_chunk_bytes + 1;
-  const std::string errors = cfg.validate(ConcurrencyModel::kEventLoop);
+  const std::string errors = cfg.validate();
   EXPECT_NE(errors.find("stream_chunk_bytes"), std::string::npos) << errors;
   EXPECT_NE(errors.find("max_chunk_bytes"), std::string::npos) << errors;
 }
@@ -91,7 +69,7 @@ TEST(ServerConfig, StreamChunkLargerThanFrameLimitIsRejected) {
 TEST(ServerConfig, ZeroCapacityPoolIsRejectedWithGuidance) {
   ServerConfig cfg = valid_config();
   cfg.buffer_pool.max_buffers_per_class = 0;
-  const std::string errors = cfg.validate(ConcurrencyModel::kEventLoop);
+  const std::string errors = cfg.validate();
   EXPECT_NE(errors.find("max_buffers_per_class"), std::string::npos)
       << errors;
   // The error must point at the right knob for "disable caching".
@@ -102,7 +80,7 @@ TEST(ServerConfig, ZeroCapacityPoolIsRejectedWithGuidance) {
 TEST(ServerConfig, MultipleErrorsAreAllReported) {
   ServerConfig cfg;  // no encoding, no handler
   cfg.backlog = 0;
-  const std::string errors = cfg.validate(ConcurrencyModel::kEventLoop);
+  const std::string errors = cfg.validate();
   EXPECT_NE(errors.find("encoding"), std::string::npos);
   EXPECT_NE(errors.find("handler"), std::string::npos);
   EXPECT_NE(errors.find("backlog"), std::string::npos);
@@ -121,27 +99,23 @@ TEST(ServerConfig, CreateThrowsOnInvalidConfig) {
   }
 }
 
+// An empty prefix becomes "event" (the namespace benches read), whatever
+// the dispatch mode.
 TEST(ServerConfig, EmptyPrefixDefaultsPerModel) {
-  obs::Registry registry;
-  {
+  for (const std::size_t workers : {0u, 1u}) {
+    obs::Registry registry;
     ServerConfig cfg = valid_config();
     cfg.registry = &registry;
-    auto pool = SoapServer::create(ConcurrencyModel::kThreadPerConnection,
-                                   std::move(cfg));
-    auto event =
-        [&] {
-          ServerConfig e = valid_config();
-          e.registry = &registry;
-          e.reactor_threads = 1;
-          e.worker_threads = 1;
-          return SoapServer::create(ConcurrencyModel::kEventLoop,
-                                    std::move(e));
-        }();
-    // Each model registered under its own canonical namespace, so the two
-    // servers' metrics cannot collide.
-    EXPECT_EQ(registry.gauge("pool.connections.active").value(), 0);
-    EXPECT_EQ(registry.gauge("event.connections.active").value(), 0);
-    EXPECT_GE(registry.histogram("event.reactor.0.loop.ns").count(), 0u);
+    cfg.reactor_threads = 1;
+    cfg.worker_threads = workers;
+    auto server =
+        SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
+    // Read from the snapshot: a registry lookup would create the name.
+    const std::string json = registry.to_json();
+    EXPECT_NE(json.find("\"event.connections.active\""), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"event.reactor.0.loop.ns\""), std::string::npos)
+        << json;
   }
 }
 

@@ -1,5 +1,5 @@
 // End-to-end streaming authentication (FORMAT.md §"Auth trailer",
-// DESIGN.md §15): signed chunked exchanges on both server models, the
+// DESIGN.md §15): signed chunked exchanges on both dispatch legs, the
 // downgrade matrix (either side unsigned -> plain streams), composition
 // with per-chunk compression, key mismatch cutting the stream with a
 // retryable fault, the FNV differential algorithm behind its test-only
@@ -17,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "soap/engine.hpp"
 #include "soap/security.hpp"
+#include "support/server_legs.hpp"
 #include "transport/bindings.hpp"
 #include "transport/compress.hpp"
 #include "transport/server.hpp"
@@ -74,21 +75,16 @@ std::size_t run_signed_echo(TcpClientBinding& client, std::size_t chunks) {
   return received.size();
 }
 
-class SignedStream : public ::testing::TestWithParam<ConcurrencyModel> {};
+class SignedStream : public ::testing::TestWithParam<ServerLeg> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    BothModels, SignedStream,
-    ::testing::Values(ConcurrencyModel::kThreadPerConnection,
-                      ConcurrencyModel::kEventLoop),
-    [](const auto& info) {
-      return info.param == ConcurrencyModel::kThreadPerConnection
-                 ? "Pool"
-                 : "EventLoop";
-    });
+INSTANTIATE_TEST_SUITE_P(BothModels, SignedStream,
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_title);
 
 TEST_P(SignedStream, HmacRoundTripsAndCountsAuthenticatedBytes) {
   obs::Registry registry;
-  auto server = SoapServer::create(
+  auto server = create_server(
       GetParam(),
       make_config(&registry, "srv", make_hmac_stream_auth("sh4red-k3y")));
 
@@ -107,7 +103,7 @@ TEST_P(SignedStream, FnvDifferentialAlgorithmRoundTrips) {
   // The FNV-1a demo digest survives behind its test-only algorithm bit:
   // same framing, same trailer discipline, 8-byte tag — a differential
   // check that the Auth plumbing is algorithm-agnostic.
-  auto server = SoapServer::create(
+  auto server = create_server(
       GetParam(), make_config(nullptr, "srv", make_fnv_stream_auth("fnv-k")));
 
   TcpClientBinding client(server->port());
@@ -117,8 +113,7 @@ TEST_P(SignedStream, FnvDifferentialAlgorithmRoundTrips) {
 }
 
 TEST_P(SignedStream, UnsignedServerDowngradesClientToPlainStreams) {
-  auto server =
-      SoapServer::create(GetParam(), make_config(nullptr, "srv", {}));
+  auto server = create_server(GetParam(), make_config(nullptr, "srv", {}));
 
   TcpClientBinding client(server->port());
   client.enable_stream_auth(make_hmac_stream_auth("k"));
@@ -128,7 +123,7 @@ TEST_P(SignedStream, UnsignedServerDowngradesClientToPlainStreams) {
 
 TEST_P(SignedStream, UnsignedClientIsServedPlainBySigningServer) {
   obs::Registry registry;
-  auto server = SoapServer::create(
+  auto server = create_server(
       GetParam(), make_config(&registry, "srv", make_hmac_stream_auth("k")));
 
   TcpClientBinding client(server->port());
@@ -140,7 +135,7 @@ TEST_P(SignedStream, UnsignedClientIsServedPlainBySigningServer) {
 
 TEST_P(SignedStream, KeyMismatchCutsStreamWithRetryableFault) {
   obs::Registry registry;
-  auto server = SoapServer::create(
+  auto server = create_server(
       GetParam(),
       make_config(&registry, "srv", make_hmac_stream_auth("server-key")));
 
@@ -165,7 +160,7 @@ TEST_P(SignedStream, ComposesWithPerChunkCompression) {
   ServerConfig cfg =
       make_config(&registry, "srv", make_hmac_stream_auth("both-k"));
   cfg.compress_transforms = transforms::kAll;
-  auto server = SoapServer::create(GetParam(), std::move(cfg));
+  auto server = create_server(GetParam(), std::move(cfg));
 
   TcpClientBinding client(server->port());
   client.enable_stream_auth(make_hmac_stream_auth("both-k"));
@@ -204,7 +199,7 @@ TEST_P(SignedStream, EngineWiresPolicyStreamAuthAutomatically) {
   // The MessageSecurity policy is the engine's ONE security hook: handing
   // BodyDigestSignature to the engine arms the binding's chunked path
   // under the same key, with no transport-level calls in user code.
-  auto server = SoapServer::create(
+  auto server = create_server(
       GetParam(),
       make_config(nullptr, "srv",
                   BodyDigestSignature("one-hook").stream_auth()));
@@ -232,7 +227,7 @@ TEST_P(SignedStream, EngineWiresPolicyStreamAuthAutomatically) {
 }
 
 TEST_P(SignedStream, SignedAndMaterializedInterleaveOnOneConnection) {
-  auto server = SoapServer::create(
+  auto server = create_server(
       GetParam(), make_config(nullptr, "srv", make_hmac_stream_auth("mix")));
 
   TcpClientBinding client(server->port());

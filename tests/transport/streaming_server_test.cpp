@@ -1,6 +1,6 @@
 // End-to-end tests of the streaming message path (DESIGN.md §11) through
-// the unified SoapServer interface: the same StreamHandler served by both
-// concurrency models, echo and typed round trips, the in-band fault
+// the SoapServer interface: the same StreamHandler served on both
+// dispatch legs, echo and typed round trips, the in-band fault
 // fallback, and the bounded-memory contract verified via the
 // stream.buffered_bytes waterline.
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "bxsa/stream_reader.hpp"
 #include "obs/metrics.hpp"
 #include "soap/engine.hpp"
+#include "support/server_legs.hpp"
 #include "transport/bindings.hpp"
 #include "transport/server.hpp"
 #include "xdm/equal.hpp"
@@ -63,21 +64,16 @@ void expect_counter(const std::function<std::size_t()>& read,
   EXPECT_EQ(read(), want) << what;
 }
 
-class StreamingServer : public ::testing::TestWithParam<ConcurrencyModel> {};
+class StreamingServer : public ::testing::TestWithParam<ServerLeg> {};
 
 INSTANTIATE_TEST_SUITE_P(BothModels, StreamingServer,
-                         ::testing::Values(ConcurrencyModel::kThreadPerConnection,
-                                           ConcurrencyModel::kEventLoop),
-                         [](const auto& info) {
-                           return info.param ==
-                                          ConcurrencyModel::kThreadPerConnection
-                                      ? "Pool"
-                                      : "EventLoop";
-                         });
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_title);
 
 TEST_P(StreamingServer, RawChunkEchoRoundTrips) {
   obs::Registry registry;
-  auto server = SoapServer::create(
+  auto server = create_server(
       GetParam(), make_config(&registry, "srv", echo_handler));
 
   TcpClientBinding client(server->port());
@@ -137,8 +133,7 @@ TEST_P(StreamingServer, TypedStreamedCallRoundTrips) {
     resp.finish_stream(*w);
   };
 
-  auto server =
-      SoapServer::create(GetParam(), make_config(nullptr, "srv", typed));
+  auto server = create_server(GetParam(), make_config(nullptr, "srv", typed));
 
   SoapEngine<BxsaEncoding, TcpClientBinding> engine(
       {}, TcpClientBinding(server->port()));
@@ -174,8 +169,7 @@ TEST_P(StreamingServer, FaultBeforeFirstChunkArrivesInBand) {
     (void)req.next_chunk();  // read a little, write nothing
     throw SoapFaultError("soap:Client", "stream rejected");
   };
-  auto server =
-      SoapServer::create(GetParam(), make_config(nullptr, "srv", failing));
+  auto server = create_server(GetParam(), make_config(nullptr, "srv", failing));
 
   TcpClientBinding client(server->port());
   std::optional<SoapEnvelope> envelope;
@@ -198,7 +192,7 @@ TEST_P(StreamingServer, FaultBeforeFirstChunkArrivesInBand) {
 }
 
 TEST_P(StreamingServer, MaterializedAndStreamedInterleaveOnOneConnection) {
-  auto server = SoapServer::create(
+  auto server = create_server(
       GetParam(), make_config(nullptr, "srv", echo_handler));
 
   SoapEngine<BxsaEncoding, TcpClientBinding> engine(
@@ -237,7 +231,7 @@ TEST_P(StreamingServer, MaterializedAndStreamedInterleaveOnOneConnection) {
 
 TEST_P(StreamingServer, ChunkedFrameWithoutStreamHandlerCutsConnection) {
   ServerConfig cfg = make_config(nullptr, "srv", StreamHandler{});
-  auto server = SoapServer::create(GetParam(), std::move(cfg));
+  auto server = create_server(GetParam(), std::move(cfg));
 
   TcpClientBinding client(server->port());
   EXPECT_THROW(

@@ -1,7 +1,7 @@
 // BXTP v3 (FORMAT.md §"BXTP v3"): Hello/Accept negotiation, transparent
 // downgrade, per-channel symbol dictionaries, and the idempotent-response
-// cache — against BOTH server concurrency models, because negotiation and
-// dictionary ordering take different paths through each (serial worker vs
+// cache — on both server dispatch legs, because negotiation and dictionary
+// ordering take different paths through each (inline on the reactor vs
 // reactor/worker split with in-order release).
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "services/verification.hpp"
 #include "soap/channel_pool.hpp"
 #include "soap/engine.hpp"
+#include "support/server_legs.hpp"
 #include "transport/bindings.hpp"
 #include "transport/respcache.hpp"
 #include "transport/server.hpp"
@@ -107,19 +108,16 @@ TEST(RespCache, ContentTypeIsPartOfTheKey) {
   EXPECT_EQ(*hit, bytes_of("resp-a"));
 }
 
-// ---- negotiation / downgrade across both server models ----------------------
+// ---- negotiation / downgrade on both dispatch legs --------------------------
 
-struct V3ServerTest : ::testing::TestWithParam<ConcurrencyModel> {
+struct V3ServerTest : ::testing::TestWithParam<ServerLeg> {
   static std::unique_ptr<SoapServer> make_server(
-      ConcurrencyModel model, ServerConfig cfg = {},
+      ServerLeg leg, ServerConfig cfg = {},
       ServerConfig::Handler handler = services::verification_handler) {
     cfg.encoding = AnyEncoding::from(BxsaEncoding{});
     cfg.handler = std::move(handler);
-    if (model == ConcurrencyModel::kEventLoop) {
-      cfg.reactor_threads = 2;
-      cfg.worker_threads = 2;
-    }
-    return SoapServer::create(model, std::move(cfg));
+    cfg.reactor_threads = 2;
+    return create_server(leg, std::move(cfg));
   }
 
   static std::vector<std::uint8_t> encode_request(std::size_t count) {
@@ -221,11 +219,8 @@ TEST_P(V3Negotiation, NonBxsaEncodingNegotiatesNoDictionary) {
   ServerConfig cfg;
   cfg.encoding = AnyEncoding::from(XmlEncoding{});
   cfg.handler = services::verification_handler;
-  if (GetParam() == ConcurrencyModel::kEventLoop) {
-    cfg.reactor_threads = 2;
-    cfg.worker_threads = 2;
-  }
-  auto server = SoapServer::create(GetParam(), std::move(cfg));
+  cfg.reactor_threads = 2;
+  auto server = create_server(GetParam(), std::move(cfg));
 
   SoapEngine<XmlEncoding, TcpClientBinding> client(
       {}, TcpClientBinding(server->port()));
@@ -238,15 +233,9 @@ TEST_P(V3Negotiation, NonBxsaEncodingNegotiatesNoDictionary) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, V3Negotiation,
-                         ::testing::Values(
-                             ConcurrencyModel::kThreadPerConnection,
-                             ConcurrencyModel::kEventLoop),
-                         [](const auto& info) {
-                           return info.param ==
-                                          ConcurrencyModel::kThreadPerConnection
-                                      ? "pool"
-                                      : "event";
-                         });
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_name);
 
 // ---- dictionary channels under load -----------------------------------------
 
@@ -327,7 +316,6 @@ TEST(DictChannel, PipelinedDictResponsesStayOrderedOnTheEventServer) {
   bxsa::DictDecoder dec(eff);
   for (std::size_t i = 0; i < kBurst; ++i) {
     FrameStart start = read_frame_start(stream, FrameLimits{}, true);
-    ASSERT_FALSE(start.hello);
     const std::uint8_t flags = start.flags;
     soap::WireMessage m =
         read_frame_body(stream, std::move(start), FrameLimits{});
@@ -387,15 +375,9 @@ TEST_P(DictChannel, ConcurrentV3ChannelsHammerDictAndCache) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, DictChannel,
-                         ::testing::Values(
-                             ConcurrencyModel::kThreadPerConnection,
-                             ConcurrencyModel::kEventLoop),
-                         [](const auto& info) {
-                           return info.param ==
-                                          ConcurrencyModel::kThreadPerConnection
-                                      ? "pool"
-                                      : "event";
-                         });
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_name);
 
 // ---- the idempotent-response cache end to end --------------------------------
 
@@ -490,15 +472,9 @@ TEST_P(RespCacheServer, FaultsAndUndeclaredOperationsAreNeverCached) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, RespCacheServer,
-                         ::testing::Values(
-                             ConcurrencyModel::kThreadPerConnection,
-                             ConcurrencyModel::kEventLoop),
-                         [](const auto& info) {
-                           return info.param ==
-                                          ConcurrencyModel::kThreadPerConnection
-                                      ? "pool"
-                                      : "event";
-                         });
+                         ::testing::Values(ServerLeg::kWorkerPool,
+                                           ServerLeg::kInline),
+                         leg_name);
 
 }  // namespace
 }  // namespace bxsoap::transport
