@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -31,6 +32,16 @@ class Counter {
  private:
   std::atomic<std::uint64_t> v_{0};
 };
+
+/// Add the nanoseconds since `t0` to `ns`, when a counter is attached.
+inline void add_elapsed_ns(Counter* ns,
+                           std::chrono::steady_clock::time_point t0) noexcept {
+  if (ns == nullptr) return;
+  ns->add(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
+}
 
 /// Instantaneous level (active connections, queue depth).
 class Gauge {

@@ -84,37 +84,14 @@ class TcpClientBinding {
   }
   soap::WireMessage receive_response() {
     if (!stream_.valid()) throw TransportError("not connected");
-    if (!v3_active_) return read_frame(stream_, limits_, pool_);
     // A negotiated channel still accepts v1 frames: the server's shed
     // fault (and other pre-encoded constants) are version 1 on purpose.
-    FrameStart start = read_frame_start(stream_, limits_, /*accept_v3=*/true);
-    const std::uint8_t flags = start.flags;
-    soap::WireMessage m =
-        read_frame_body(stream_, std::move(start), limits_, pool_);
-    // Decode order mirrors the server's encode order (dict, then
-    // compress): decompress first so the dictionary sees canonical bytes.
-    if ((flags & v3flags::kCompressed) != 0) {
-      m.payload = decompress_frame_payload(std::move(m.payload), transforms_,
-                                           limits_, *pool_);
-    }
-    if ((flags & v3flags::kDictEncoded) != 0) {
-      if (!dec_dict_) {
-        throw TransportError(
-            "dictionary-coded response without a negotiated table");
-      }
-      ByteWriter plain(pool_->acquire(m.payload.size() + 64));
-      try {
-        dec_dict_->decode(m.payload, (flags & v3flags::kDictReset) != 0,
-                          plain, dict_stats_);
-      } catch (const DecodeError& e) {
-        // A mirror desync poisons the channel; typed as TransportError so
-        // the retry layer reconnects (fresh connection, fresh tables).
-        throw TransportError(std::string("dictionary decode failed: ") +
-                             e.what());
-      }
-      pool_->release(std::move(m.payload));
-      m.payload = plain.take();
-    }
+    FrameAssembler parser(limits_, pool_, /*accept_v3=*/v3_active_);
+    receive_until(parser, [&] { return parser.streaming(); });
+    const std::uint8_t flags = parser.frame_flags();
+    soap::WireMessage m = parser.take();
+    m.payload = unframe_v3_payload(std::move(m.payload), flags, dec_dict_,
+                                   transforms_, limits_, *pool_, dict_stats_);
     return m;
   }
   soap::WireMessage receive_request() {
@@ -186,31 +163,33 @@ class TcpClientBinding {
       }
     });
     try {
-      FrameStart start = read_frame_start(stream_, limits_);
-      if (start.chunked()) {
-        struct ReaderSource final : StreamSource {
-          ChunkedFrameReader<TcpStream> reader;
-          ReaderSource(TcpStream& s, const FrameLimits& l, BufferPool* p)
-              : reader(s, l, p) {}
+      FrameAssembler parser(limits_, pool_);
+      parser.set_transforms(transforms_);
+      if (rx_auth != nullptr) {
+        parser.set_auth(rx_auth.get(), auth_algo_, auth_stats_);
+      }
+      receive_until(parser, [&] { return parser.streaming(); });
+      if (parser.streaming()) {
+        struct WireSource final : StreamSource {
+          TcpClientBinding& self;
+          FrameAssembler& parser;
+          WireSource(TcpClientBinding& b, FrameAssembler& p)
+              : self(b), parser(p) {}
           std::optional<StreamChunk> next() override {
-            if (reader.done()) return std::nullopt;
-            StreamChunk c = reader.next();
+            if (!parser.streaming()) return std::nullopt;
+            self.receive_until(parser, [] { return false; });
+            StreamChunk c = parser.take_chunk();
             if (c.kind == ChunkKind::kEnd) return std::nullopt;
             return c;
           }
-        } source(stream_, limits_, pool_);
-        source.reader.set_transforms(transforms_);
-        if (rx_auth != nullptr) {
-          source.reader.set_auth(rx_auth.get(), auth_algo_, auth_stats_);
-        }
-        StreamRequest response(std::move(start.content_type), source);
+        } source(*this, parser);
+        StreamRequest response(parser.stream_content_type(), source);
         rx(response);
         response.drain(*pool_);
       } else {
         // The in-band fault path: present the v1 envelope as a one-chunk
         // stream so the consumer decodes it like any other response.
-        soap::WireMessage m =
-            read_frame_body(stream_, std::move(start), limits_, pool_);
+        soap::WireMessage m = parser.take();
         struct OneShot final : StreamSource {
           std::vector<std::uint8_t> payload;
           bool given = false;
@@ -243,6 +222,9 @@ class TcpClientBinding {
   void close() {
     stream_.close();
     reset_v3_session();
+    pool_->release(std::move(rx_buf_));
+    rx_buf_ = {};
+    rx_begin_ = rx_end_ = 0;
   }
 
   /// Drop the connection; the next send reconnects. The retry layer
@@ -325,17 +307,18 @@ class TcpClientBinding {
   }
 
  private:
+  /// Per-connection receive buffer: one recv fills it, the parser drains
+  /// it. Room for a small response whole; larger bodies go into place.
+  static constexpr std::size_t kRecvBufferBytes = 8 * 1024;
+
   void ensure_connected() {
     if (stream_.valid()) return;
-    stream_ = TcpStream::connect(port_);
-    stream_.set_io_stats(io_);
-    stream_.set_no_delay(true);
+    connect();
     if (!v3_enabled_ || v3_failed_) return;
     // Probe: Hello now, Accept before the first exchange. A v3 server
     // costs one extra round trip per CONNECTION (amortized across every
     // exchange on it); a pre-v3 server cuts the connection, which
-    // read_accept surfaces as TransportError — downgrade for good and
-    // redial plain.
+    // surfaces as TransportError — downgrade for good and redial plain.
     try {
       HelloFrame hello;
       hello.dict_max_entries = dict_offer_.max_entries;
@@ -343,7 +326,9 @@ class TcpClientBinding {
       hello.transforms = compress_offer_;
       hello.auth = stream_auth_.algos;
       write_hello(stream_, hello);
-      const AcceptFrame accept = read_accept(stream_);
+      FrameAssembler parser(limits_, pool_, /*accept_v3=*/true);
+      receive_until(parser, [&] { return parser.at_body(); });
+      const AcceptFrame accept = parser.take_accept();
       if (accept.version == kFrameVersionNegotiated) {
         v3_active_ = true;
         v3_limits_ = bxsa::DictLimits{accept.dict_max_entries,
@@ -365,11 +350,45 @@ class TcpClientBinding {
       }
     } catch (const TransportError&) {
       v3_failed_ = true;
-      stream_.close();
-      reset_v3_session();
-      stream_ = TcpStream::connect(port_);
-      stream_.set_io_stats(io_);
-      stream_.set_no_delay(true);
+      close();
+      connect();
+    }
+  }
+
+  /// Dial a fresh connection with an empty receive buffer.
+  void connect() {
+    stream_ = TcpStream::connect(port_);
+    stream_.set_io_stats(io_);
+    stream_.set_no_delay(true);
+    rx_buf_ = pool_->acquire(kRecvBufferBytes);
+    rx_buf_.resize(kRecvBufferBytes);
+    rx_begin_ = rx_end_ = 0;
+  }
+
+  /// Feed `parser` from the receive buffer, refilling it one recv at a
+  /// time, until an item completes or `stop()` holds. A body longer than
+  /// the buffer is received straight into place instead.
+  template <typename Stop>
+  void receive_until(FrameAssembler& parser, Stop&& stop) {
+    for (;;) {
+      rx_begin_ += parser.feed(std::span<const std::uint8_t>(
+          rx_buf_.data() + rx_begin_, rx_end_ - rx_begin_));
+      if (parser.need() == 0 || stop()) return;
+      // feed() stops short only at a completed item: the buffer is empty.
+      rx_begin_ = rx_end_ = 0;
+      std::span<std::uint8_t> into;
+      if (parser.need() > rx_buf_.size()) {
+        into = parser.body_space(parser.need());
+      }
+      const bool in_place = !into.empty();
+      if (!in_place) into = rx_buf_;
+      const std::size_t n = stream_.read_some(into.data(), into.size());
+      if (n == 0) throw TransportError("connection closed by peer");
+      if (in_place) {
+        parser.commit(n);
+      } else {
+        rx_end_ = n;
+      }
     }
   }
 
@@ -386,6 +405,11 @@ class TcpClientBinding {
 
   std::uint16_t port_;
   TcpStream stream_;
+  // Pooled receive buffer of the current connection; bytes
+  // [rx_begin_, rx_end_) are received but not yet parsed.
+  std::vector<std::uint8_t> rx_buf_;
+  std::size_t rx_begin_ = 0;
+  std::size_t rx_end_ = 0;
   FrameLimits limits_{};
   obs::IoStats* io_ = nullptr;
   BufferPool* pool_ = &BufferPool::global();

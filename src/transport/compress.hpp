@@ -127,12 +127,7 @@ inline Transform compress_append(std::span<const std::uint8_t> payload,
                                  const CompressStats& stats) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto finish = [&](Transform used, std::size_t appended) {
-    if (stats.ns != nullptr) {
-      stats.ns->add(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    }
+    obs::add_elapsed_ns(stats.ns, t0);
     if (used == Transform::kNone) {
       if (stats.skipped != nullptr) stats.skipped->add();
     } else {

@@ -15,6 +15,9 @@ namespace {
 /// keeps one firehose connection from starving the rest).
 constexpr int kReadRounds = 4;
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// Largest read straight into a v1/v3 payload buffer: the buffer grows by
+/// at most this much ahead of the bytes that actually arrived.
+constexpr std::size_t kInPlaceRead = 256 * 1024;
 
 constexpr int kMaxEvents = 64;
 
@@ -439,9 +442,18 @@ void SoapEventServer::read_ready(const std::shared_ptr<Conn>& conn) {
     // Backpressure: the tap is closed (stream in-queue full, or the
     // worker queue is at its admission bound).
     if (conn->stream_parked || conn->queue_parked) return;
+    // A v1/v3 payload longer than one read is received straight into its
+    // pooled buffer instead of through `buf` and a copy.
+    std::span<std::uint8_t> into;
+    if (!conn->assembler.streaming() &&
+        conn->assembler.need() > kReadChunk) {
+      into = conn->assembler.body_space(kInPlaceRead);
+    }
+    const bool in_place = !into.empty();
+    if (!in_place) into = std::span<std::uint8_t>(buf, sizeof(buf));
     std::optional<std::size_t> r;
     try {
-      r = conn->stream.try_read_some(buf, sizeof(buf));
+      r = conn->stream.try_read_some(into.data(), into.size());
     } catch (const TransportError&) {
       drop(conn);
       return;
@@ -475,8 +487,12 @@ void SoapEventServer::read_ready(const std::shared_ptr<Conn>& conn) {
     conn->last_activity = std::chrono::steady_clock::now();
     bool more = false;
     try {
-      more = pump(conn, std::span<const std::uint8_t>(buf, *r),
-                  conn->last_activity);
+      std::span<const std::uint8_t> fresh(buf, *r);
+      if (in_place) {
+        conn->assembler.commit(*r);
+        fresh = {};  // pump() only dispatches a completed payload
+      }
+      more = pump(conn, fresh, conn->last_activity);
     } catch (const TransportError&) {
       // Malformed or over-limit frame: the byte stream cannot be trusted
       // past this point; cut the connection.
@@ -520,8 +536,8 @@ bool SoapEventServer::pump(const std::shared_ptr<Conn>& conn,
             conn->stream_backlog.assign(data.begin(), data.end());
             return false;
           }
-        } else if (conn->assembler.ready()) {
-          break;
+        } else if (conn->assembler.need() == 0) {
+          break;  // a request (or an Accept, which take_request refuses)
         } else if (data.empty()) {
           return true;
         }
@@ -597,39 +613,18 @@ void SoapEventServer::answer_hello(const std::shared_ptr<Conn>& conn) {
 
 soap::WireMessage SoapEventServer::take_request(
     const std::shared_ptr<Conn>& conn) {
-  // Flags are latched before take() resets the assembler's state.
-  const std::uint8_t req_flags = conn->assembler.frame_flags();
+  // Flags are latched before take() resets the assembler's state. take()
+  // also refuses an Accept: only a client may receive one.
+  const std::uint8_t flags = conn->assembler.frame_flags();
   soap::WireMessage request = conn->assembler.take();
-  // Decode order is the reverse of encode order (dict then compress):
-  // decompress first, so the dictionary — and the response cache — see
-  // canonical bytes. Throws when the peer never negotiated transforms.
-  if ((req_flags & v3flags::kCompressed) != 0) {
-    request.payload = decompress_frame_payload(std::move(request.payload),
-                                               conn->transforms,
-                                               frame_limits_, buffer_pool_);
-  }
-  if ((req_flags & v3flags::kDictEncoded) != 0) {
-    if (!conn->req_dict) {
-      throw TransportError(
-          "dictionary-coded message without a negotiated table");
-    }
-    // Frames leave the assembler in wire order on this (the owning)
-    // reactor — exactly the order the mirrored table requires, and before
-    // the request's arrival order is handed to any worker.
-    ByteWriter plain(buffer_pool_.acquire(request.payload.size() + 64));
-    try {
-      conn->req_dict->decode(request.payload,
-                             (req_flags & v3flags::kDictReset) != 0, plain,
-                             dict_stats_);
-    } catch (const DecodeError& e) {
-      // A mirror desync poisons every later message on this channel;
-      // strict validation cuts the connection (FORMAT.md "BXTP v3").
-      throw TransportError(std::string("dictionary decode failed: ") +
-                           e.what());
-    }
-    buffer_pool_.release(std::move(request.payload));
-    request.payload = plain.take();
-  }
+  // Frames leave the assembler in wire order on this (the owning) reactor
+  // — exactly the order the mirrored table requires, and before the
+  // request's arrival order is handed to any worker. Decompression runs
+  // first, so the dictionary — and the response cache — see canonical
+  // bytes; a desync throws, which cuts the connection.
+  request.payload = unframe_v3_payload(
+      std::move(request.payload), flags, conn->req_dict, conn->transforms,
+      frame_limits_, buffer_pool_, dict_stats_);
   return request;
 }
 
@@ -1288,10 +1283,7 @@ void SoapEventServer::stream_main(std::shared_ptr<Conn> conn,
       // Signed stream: absorb the chunk in LOGICAL (pre-compression) order
       // — the MAC covers what the handler said, not how the wire packed it.
       if (auth != nullptr) {
-        auth_absorb_chunk(*auth, c.kind, c.bytes);
-        if (srv->auth_stats_.bytes_authenticated != nullptr) {
-          srv->auth_stats_.bytes_authenticated->add(c.bytes.size());
-        }
+        auth_absorb_chunk(*auth, c.kind, c.bytes, srv->auth_stats_);
       }
       if (c.kind == ChunkKind::kData) {
         // The End total counts LOGICAL bytes, so it is tallied before any

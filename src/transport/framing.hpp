@@ -10,9 +10,14 @@
 //   length  u64 big-endian    payload byte count
 //   payload
 //
-// The functions are templates over any FrameStream (TcpStream, the fault
-// injector's FaultyStream, the in-memory MemoryStream), so the same framing
-// code is exercised on real sockets and in deterministic no-socket tests.
+// One parser decodes every BXTP version: FrameAssembler, a push parser
+// over byte buffers with no I/O. The reactor feeds it what a socket read
+// returned, TcpClientBinding feeds it a buffered connection, and the
+// blocking drivers at the bottom of this file (read_frame, read_accept, ...)
+// read exactly the bytes it asks for from any FrameStream (TcpStream, the
+// fault injector's FaultyStream, the in-memory MemoryStream), so the same
+// framing code is exercised on real sockets and in deterministic
+// no-socket tests.
 //
 // Reading is defensive: the declared lengths come from the peer, so every
 // one is checked against FrameLimits BEFORE any allocation sized by it. A
@@ -20,12 +25,14 @@
 // allocation.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bxsa/dict.hpp"
@@ -152,14 +159,19 @@ inline constexpr std::size_t kMaxAuthTagBytes = 32;
 /// plain and compressed data — compression is invisible to the MAC),
 /// the u64 BE logical body length, then the logical (plaintext) body.
 /// Sender absorbs before compression, receiver after decompression, so
-/// both see identical input regardless of what the wire carried.
+/// both see identical input regardless of what the wire carried. The
+/// body's bytes are tallied into `stats`.
 inline void auth_absorb_chunk(StreamAuthenticator& a, ChunkKind logical_kind,
-                              std::span<const std::uint8_t> body) {
+                              std::span<const std::uint8_t> body,
+                              const AuthStats& stats = {}) {
   std::uint8_t hdr[9];
   hdr[0] = static_cast<std::uint8_t>(logical_kind);
   store<std::uint64_t>(body.size(), ByteOrder::kBig, hdr + 1);
   a.update({hdr, sizeof(hdr)});
   a.update(body);
+  if (stats.bytes_authenticated != nullptr) {
+    stats.bytes_authenticated->add(body.size());
+  }
 }
 
 /// Close the MAC input with the u64 BE total of logical data bytes (the
@@ -245,15 +257,28 @@ concept VectoredStream =
       s.write_vectored(buf, buf);
     };
 
+/// Append a frame header up to its payload length (v1/v3) or its first
+/// chunk (v2): magic, `version`, on v3 the Message kind and `flags`, then
+/// the content type.
+inline void write_header(ByteWriter& w, std::uint8_t version,
+                         std::string_view content_type,
+                         std::uint8_t flags = 0) {
+  w.write_bytes(kFrameMagic, sizeof(kFrameMagic));
+  w.write_u8(version);
+  if (version == kFrameVersionNegotiated) {
+    w.write_u8(static_cast<std::uint8_t>(V3FrameKind::kMessage));
+    w.write_u8(flags);
+  }
+  vls_write(w, content_type.size());
+  w.write_string(content_type);
+}
+
 /// Append the frame header for `content_type` to `w`, reserving the 8-byte
 /// payload-length field as zeros. Returns the length field's offset in `w`;
 /// pass it to end_frame once the payload has been appended. This is how an
 /// encoder emits header + payload into ONE buffer, sent with one write_all.
 inline std::size_t begin_frame(ByteWriter& w, std::string_view content_type) {
-  w.write_bytes(kFrameMagic, sizeof(kFrameMagic));
-  w.write_u8(kFrameVersion);
-  vls_write(w, content_type.size());
-  w.write_string(content_type);
+  write_header(w, kFrameVersion, content_type);
   const std::size_t len_pos = w.size();
   w.write_padding(8);
   return len_pos;
@@ -271,12 +296,7 @@ inline void end_frame(ByteWriter& w, std::size_t len_pos) {
 /// is a v3 Message frame carrying `flags`.
 inline std::size_t begin_frame_v3(ByteWriter& w, std::uint8_t flags,
                                   std::string_view content_type) {
-  w.write_bytes(kFrameMagic, sizeof(kFrameMagic));
-  w.write_u8(kFrameVersionNegotiated);
-  w.write_u8(static_cast<std::uint8_t>(V3FrameKind::kMessage));
-  w.write_u8(flags);
-  vls_write(w, content_type.size());
-  w.write_string(content_type);
+  write_header(w, kFrameVersionNegotiated, content_type, flags);
   const std::size_t len_pos = w.size();
   w.write_padding(8);
   return len_pos;
@@ -327,25 +347,51 @@ inline void frame_v3_payload(ByteWriter& out,
   out.patch_bytes(base + 4 + 1 + 1, &flags, 1);
 }
 
-/// Replace a kCompressed v3 Message payload with its plain (pre-compress,
-/// still possibly dictionary-coded) form. The old buffer is recycled into
-/// `pool` and the new one comes from it. Throws TransportError when no
-/// transform set was negotiated, on an unknown transform id, or on a
-/// declared decompressed size past the message limit.
-inline std::vector<std::uint8_t> decompress_frame_payload(
-    std::vector<std::uint8_t> payload, std::uint8_t transforms,
-    const FrameLimits& limits, BufferPool& pool) {
-  std::vector<std::uint8_t> plain =
-      decompress_body(payload, transforms, limits.max_message_bytes, pool);
+/// The receive-side inverse of frame_v3_payload: decompress a kCompressed
+/// payload (legal only on a channel that negotiated `transforms`), then
+/// run a kDictEncoded one through the channel's mirrored table `dict`.
+/// v1 frames and plain v3 payloads (flags 0) pass through untouched.
+/// Replaced buffers are recycled into `pool`. A dictionary desync poisons
+/// every later message on the channel, so it surfaces as TransportError:
+/// the server cuts the connection, the client's retry layer redials with
+/// fresh tables.
+inline std::vector<std::uint8_t> unframe_v3_payload(
+    std::vector<std::uint8_t> payload, std::uint8_t flags,
+    std::optional<bxsa::DictDecoder>& dict, std::uint8_t transforms,
+    const FrameLimits& limits, BufferPool& pool,
+    const bxsa::DictStats& stats = {}) {
+  if ((flags & v3flags::kCompressed) != 0) {
+    std::vector<std::uint8_t> plain =
+        decompress_body(payload, transforms, limits.max_message_bytes, pool);
+    pool.release(std::move(payload));
+    payload = std::move(plain);
+  }
+  if ((flags & v3flags::kDictEncoded) == 0) return payload;
+  if (!dict) {
+    throw TransportError(
+        "dictionary-coded message without a negotiated table");
+  }
+  ByteWriter plain(pool.acquire(payload.size() + 64));
+  try {
+    dict->decode(payload, (flags & v3flags::kDictReset) != 0, plain, stats);
+  } catch (const DecodeError& e) {
+    throw TransportError(std::string("dictionary decode failed: ") +
+                         e.what());
+  }
   pool.release(std::move(payload));
-  return plain;
+  return plain.take();
+}
+
+/// Append the magic, version and kind that open a v3 Hello or Accept.
+inline void write_control_header(ByteWriter& w, V3FrameKind kind) {
+  w.write_bytes(kFrameMagic, sizeof(kFrameMagic));
+  w.write_u8(kFrameVersionNegotiated);
+  w.write_u8(static_cast<std::uint8_t>(kind));
 }
 
 /// Append one whole Hello frame (magic + version + kind + body).
 inline void encode_hello(ByteWriter& w, const HelloFrame& h) {
-  w.write_bytes(kFrameMagic, sizeof(kFrameMagic));
-  w.write_u8(kFrameVersionNegotiated);
-  w.write_u8(static_cast<std::uint8_t>(V3FrameKind::kHello));
+  write_control_header(w, V3FrameKind::kHello);
   w.write_u8(h.min_version);
   w.write_u8(h.max_version);
   w.write<std::uint32_t>(h.dict_max_entries, ByteOrder::kBig);
@@ -356,9 +402,7 @@ inline void encode_hello(ByteWriter& w, const HelloFrame& h) {
 
 /// Append one whole Accept frame (magic + version + kind + body).
 inline void encode_accept(ByteWriter& w, const AcceptFrame& a) {
-  w.write_bytes(kFrameMagic, sizeof(kFrameMagic));
-  w.write_u8(kFrameVersionNegotiated);
-  w.write_u8(static_cast<std::uint8_t>(V3FrameKind::kAccept));
+  write_control_header(w, V3FrameKind::kAccept);
   w.write_u8(a.version);
   w.write<std::uint32_t>(a.dict_max_entries, ByteOrder::kBig);
   w.write<std::uint32_t>(a.dict_max_bytes, ByteOrder::kBig);
@@ -373,38 +417,6 @@ void write_hello(S& stream, const HelloFrame& h) {
   stream.write_all(w.bytes());
 }
 
-/// Client side of the handshake: read the server's Accept. Anything else —
-/// including the connection cut an old server inflicts when it rejects the
-/// Hello's unknown version — throws TransportError, which the caller turns
-/// into a permanent downgrade for this binding.
-template <FrameStream S>
-AcceptFrame read_accept(S& stream) {
-  std::uint8_t hdr[6];
-  stream.read_exact(hdr, sizeof(hdr));
-  if (std::memcmp(hdr, kFrameMagic, sizeof(kFrameMagic)) != 0) {
-    throw TransportError("bad frame magic in handshake reply");
-  }
-  if (hdr[4] != kFrameVersionNegotiated ||
-      hdr[5] != static_cast<std::uint8_t>(V3FrameKind::kAccept)) {
-    throw TransportError("expected an Accept frame, got version " +
-                         std::to_string(hdr[4]) + " kind " +
-                         std::to_string(hdr[5]));
-  }
-  std::uint8_t body[11];
-  stream.read_exact(body, sizeof(body));
-  AcceptFrame a;
-  a.version = body[0];
-  a.dict_max_entries = load<std::uint32_t>(body + 1, ByteOrder::kBig);
-  a.dict_max_bytes = load<std::uint32_t>(body + 5, ByteOrder::kBig);
-  a.transforms = body[9];
-  a.auth = body[10];
-  if (a.version != kFrameVersion && a.version != kFrameVersionNegotiated) {
-    throw TransportError("Accept names an unknown version " +
-                         std::to_string(a.version));
-  }
-  return a;
-}
-
 /// Write one framed message to the stream. The content type is taken as a
 /// view so callers that hold the encoding policy's static string (e.g.
 /// AnyEncoding::content_type()) pass it straight through with no copy.
@@ -414,10 +426,7 @@ template <FrameStream S>
 void write_frame(S& stream, std::string_view content_type,
                  std::span<const std::uint8_t> payload) {
   ByteWriter header;
-  header.write_bytes(kFrameMagic, sizeof(kFrameMagic));
-  header.write_u8(kFrameVersion);
-  vls_write(header, content_type.size());
-  header.write_string(content_type);
+  write_header(header, kFrameVersion, content_type);
   header.write<std::uint64_t>(payload.size(), ByteOrder::kBig);
   if constexpr (VectoredStream<S>) {
     stream.write_vectored(header.bytes(), payload);
@@ -430,101 +439,6 @@ void write_frame(S& stream, std::string_view content_type,
 template <FrameStream S>
 void write_frame(S& stream, const soap::WireMessage& m) {
   write_frame(stream, m.content_type, m.payload);
-}
-
-/// The part of a BXTP header shared by all versions: everything up to
-/// (v1/v3) the payload length or (v2) the first chunk. Reading it first
-/// lets the reader decide per message whether the materialized or the
-/// streaming path handles the rest of the bytes.
-struct FrameStart {
-  std::uint8_t version = kFrameVersion;
-  std::uint8_t flags = 0;  // v3 Message flags; always 0 on v1/v2
-  std::string content_type;
-
-  bool chunked() const noexcept { return version == kFrameVersionChunked; }
-};
-
-/// `accept_v3` admits v3 Message frames, for a connection that negotiated
-/// v3. When false (the default) a version-3 frame is rejected as an
-/// unsupported version. Any v3 kind other than Message — a Hello included
-/// — is a TransportError: the blocking reader never negotiates.
-template <FrameStream S>
-FrameStart read_frame_start(S& stream, const FrameLimits& limits = {},
-                            bool accept_v3 = false) {
-  std::uint8_t fixed[5];
-  stream.read_exact(fixed, sizeof(fixed));
-  if (std::memcmp(fixed, kFrameMagic, sizeof(kFrameMagic)) != 0) {
-    throw TransportError("bad frame magic");
-  }
-  FrameStart start;
-  start.version = fixed[4];
-  if (fixed[4] == kFrameVersionNegotiated && accept_v3) {
-    std::uint8_t kind;
-    stream.read_exact(&kind, 1);
-    if (kind != static_cast<std::uint8_t>(V3FrameKind::kMessage)) {
-      throw TransportError("unexpected v3 frame kind " +
-                           std::to_string(kind));
-    }
-    stream.read_exact(&start.flags, 1);
-    if ((start.flags & ~v3flags::kAllKnown) != 0) {
-      throw TransportError("unknown v3 message flags");
-    }
-  } else if (fixed[4] != kFrameVersion && fixed[4] != kFrameVersionChunked) {
-    throw TransportError("unsupported frame version " +
-                         std::to_string(fixed[4]));
-  }
-  // Content-type length: VLS, read byte by byte off the stream.
-  std::uint64_t ct_len = 0;
-  int shift = 0;
-  for (std::size_t i = 0; i < kMaxVlsBytes; ++i) {
-    std::uint8_t b;
-    stream.read_exact(&b, 1);
-    ct_len |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-    if (i + 1 == kMaxVlsBytes) throw TransportError("malformed frame VLS");
-  }
-  if (ct_len > limits.max_content_type_bytes) {
-    throw TransportError("content type unreasonably long");
-  }
-  start.content_type.resize(static_cast<std::size_t>(ct_len));
-  stream.read_exact(
-      reinterpret_cast<std::uint8_t*>(start.content_type.data()),
-      start.content_type.size());
-  return start;
-}
-
-/// Finish reading a v1 frame whose header `start` was already consumed.
-template <FrameStream S>
-soap::WireMessage read_frame_body(S& stream, FrameStart start,
-                                  const FrameLimits& limits = {},
-                                  BufferPool* pool = nullptr) {
-  if (start.chunked()) {
-    throw TransportError(
-        "chunked frame on an endpoint without a stream handler");
-  }
-  std::uint8_t len_be[8];
-  stream.read_exact(len_be, 8);
-  const std::uint64_t payload_len =
-      load<std::uint64_t>(len_be, ByteOrder::kBig);
-  // Checked against the cap BEFORE sizing the buffer: a corrupt or hostile
-  // u64 must not reach the allocator.
-  if (payload_len > limits.max_message_bytes) {
-    throw TransportError("frame payload of " + std::to_string(payload_len) +
-                         " bytes exceeds the " +
-                         std::to_string(limits.max_message_bytes) +
-                         "-byte message limit");
-  }
-  soap::WireMessage m;
-  m.content_type = std::move(start.content_type);
-  if (pool != nullptr) {
-    // The limit check above has already run: a hostile length never
-    // reaches the pool's allocator either.
-    m.payload = pool->acquire(static_cast<std::size_t>(payload_len));
-  }
-  m.payload.resize(static_cast<std::size_t>(payload_len));
-  stream.read_exact(m.payload.data(), m.payload.size());
-  return m;
 }
 
 /// The per-direction compression setup a negotiated connection hands its
@@ -546,10 +460,7 @@ class ChunkedFrameWriter {
   ChunkedFrameWriter(S& stream, std::string_view content_type)
       : stream_(stream) {
     ByteWriter h;
-    h.write_bytes(kFrameMagic, sizeof(kFrameMagic));
-    h.write_u8(kFrameVersionChunked);
-    vls_write(h, content_type.size());
-    h.write_string(content_type);
+    write_header(h, kFrameVersionChunked, content_type);
     stream_.write_all(h.bytes());
   }
 
@@ -571,10 +482,7 @@ class ChunkedFrameWriter {
 
   void write_data(std::span<const std::uint8_t> chunk) {
     if (auth_ != nullptr) {
-      auth_absorb_chunk(*auth_, ChunkKind::kData, chunk);
-      if (auth_stats_.bytes_authenticated != nullptr) {
-        auth_stats_.bytes_authenticated->add(chunk.size());
-      }
+      auth_absorb_chunk(*auth_, ChunkKind::kData, chunk, auth_stats_);
     }
     if (compression_.transforms != 0 && compression_.pool != nullptr) {
       std::vector<std::uint8_t> packed =
@@ -605,11 +513,9 @@ class ChunkedFrameWriter {
   /// Forward an already-encoded chunk body verbatim (the pass-through
   /// path: an echo or relay handler never decodes the records).
   void write_raw(ChunkKind kind, std::span<const std::uint8_t> body) {
-    if (kind == ChunkKind::kEnd) {
-      throw TransportError("end chunks are emitted by finish()");
-    }
-    if (kind == ChunkKind::kAuth) {
-      throw TransportError("auth trailers are emitted by finish()");
+    if (kind == ChunkKind::kEnd || kind == ChunkKind::kAuth) {
+      throw TransportError("end chunks and auth trailers are emitted by "
+                           "finish()");
     }
     if (kind == ChunkKind::kData) {
       // Route through write_data so pass-through chunks (echo/relay
@@ -638,14 +544,10 @@ class ChunkedFrameWriter {
     write_chunk(ChunkKind::kEnd, {total_be, sizeof(total_be)});
   }
 
-  std::uint64_t total_data_bytes() const noexcept { return total_; }
-
  private:
   void absorb_patch(std::span<const std::uint8_t> body) {
-    if (auth_ == nullptr) return;
-    auth_absorb_chunk(*auth_, ChunkKind::kPatch, body);
-    if (auth_stats_.bytes_authenticated != nullptr) {
-      auth_stats_.bytes_authenticated->add(body.size());
+    if (auth_ != nullptr) {
+      auth_absorb_chunk(*auth_, ChunkKind::kPatch, body, auth_stats_);
     }
   }
 
@@ -669,231 +571,29 @@ class ChunkedFrameWriter {
   std::uint64_t total_ = 0;
 };
 
-/// Reader side of a v2 chunked transfer, for blocking endpoints (the
-/// thread-per-connection pool, the streaming client). The BXTP header must
-/// already have been consumed by read_frame_start. Every peer-declared
-/// length is checked against `limits` BEFORE the buffer it sizes exists.
-template <FrameStream S>
-class ChunkedFrameReader {
- public:
-  ChunkedFrameReader(S& stream, FrameLimits limits = {},
-                     BufferPool* pool = nullptr)
-      : stream_(stream), limits_(limits), pool_(pool) {}
-
-  /// Admit kCompressedData chunks (negotiated connections only): they are
-  /// decompressed on receipt and surface as plain kData chunks, so the
-  /// consumer never sees a transform.
-  void set_transforms(std::uint8_t transforms) { transforms_ = transforms; }
-
-  /// Require and verify the stream's Auth trailer (negotiated connections
-  /// only). Every surfaced data/patch chunk is absorbed into `auth` in
-  /// wire order — AFTER decompression, mirroring the sender's plaintext
-  /// absorption — and the trailer is consumed and checked here, before
-  /// the end chunk can surface: a tag mismatch, a missing trailer, or any
-  /// chunk after the trailer throws TransportError. `auth` must outlive
-  /// the reader.
-  void set_auth(StreamAuthenticator* auth, std::uint8_t algo,
-                const AuthStats& stats = {}) {
-    auth_ = auth;
-    auth_algo_ = algo;
-    auth_stats_ = stats;
-    if (auth_ != nullptr) auth_->init();
-  }
-
-  /// Read the next chunk. After the end chunk arrives, done() is true and
-  /// further calls throw. Auth trailers are consumed internally (verified,
-  /// never surfaced), so consumers see exactly the pre-auth chunk stream.
-  StreamChunk next() {
-    for (;;) {
-      if (done_) {
-        throw TransportError("read past the end of a chunked stream");
-      }
-      std::uint8_t hdr[9];
-      stream_.read_exact(hdr, sizeof(hdr));
-      const std::uint64_t len = load<std::uint64_t>(hdr + 1, ByteOrder::kBig);
-      StreamChunk c;
-      switch (hdr[0]) {
-        case static_cast<std::uint8_t>(ChunkKind::kData):
-          c.kind = ChunkKind::kData;
-          if (len > limits_.max_chunk_bytes) {
-            throw TransportError("chunk of " + std::to_string(len) +
-                                 " bytes exceeds the chunk limit");
-          }
-          if (len > limits_.max_stream_bytes - total_) {
-            throw TransportError("chunked stream exceeds the stream limit");
-          }
-          break;
-        case static_cast<std::uint8_t>(ChunkKind::kCompressedData):
-          c.kind = ChunkKind::kCompressedData;
-          // Wire bytes of a compressed chunk obey the same chunk cap; the
-          // decompressed size is capped separately below.
-          if (len > limits_.max_chunk_bytes) {
-            throw TransportError("chunk of " + std::to_string(len) +
-                                 " bytes exceeds the chunk limit");
-          }
-          break;
-        case static_cast<std::uint8_t>(ChunkKind::kPatch):
-          c.kind = ChunkKind::kPatch;
-          if (len > limits_.max_chunk_bytes) {
-            throw TransportError("patch chunk exceeds the chunk limit");
-          }
-          break;
-        case static_cast<std::uint8_t>(ChunkKind::kAuth):
-          c.kind = ChunkKind::kAuth;
-          if (auth_ == nullptr) {
-            throw TransportError("auth chunk on an unauthenticated stream");
-          }
-          if (len != 1 + auth_->tag_size()) {
-            throw TransportError("malformed auth trailer");
-          }
-          break;
-        case static_cast<std::uint8_t>(ChunkKind::kEnd):
-          c.kind = ChunkKind::kEnd;
-          if (len != 8) throw TransportError("malformed end chunk");
-          break;
-        default:
-          throw TransportError("unknown chunk kind " +
-                               std::to_string(hdr[0]));
-      }
-      if (auth_ != nullptr && auth_verified_ && c.kind != ChunkKind::kEnd) {
-        // The trailer must be the last chunk before End; anything after it
-        // is outside the signature and therefore a protocol violation.
-        throw TransportError("chunk after the auth trailer");
-      }
-      if (c.kind == ChunkKind::kEnd) {
-        if (auth_ != nullptr && !auth_verified_) {
-          if (auth_stats_.tag_failures != nullptr) {
-            auth_stats_.tag_failures->add();
-          }
-          throw TransportError(
-              "stream ended without an authentication trailer");
-        }
-        std::uint8_t total_be[8];
-        stream_.read_exact(total_be, sizeof(total_be));
-        if (load<std::uint64_t>(total_be, ByteOrder::kBig) != total_) {
-          throw TransportError("chunked stream total mismatch");
-        }
-        done_ = true;
-        return c;
-      }
-      if (c.kind == ChunkKind::kAuth) {
-        std::uint8_t trailer[1 + kMaxAuthTagBytes];
-        stream_.read_exact(trailer, static_cast<std::size_t>(len));
-        verify_trailer({trailer, static_cast<std::size_t>(len)});
-        continue;  // verified; the trailer never surfaces
-      }
-      if (pool_ != nullptr) {
-        c.bytes = pool_->acquire(static_cast<std::size_t>(len));
-      }
-      c.bytes.resize(static_cast<std::size_t>(len));
-      stream_.read_exact(c.bytes.data(), c.bytes.size());
-      if (c.kind == ChunkKind::kCompressedData) {
-        // Decompress on receipt (the size bomb dies inside decompress_body,
-        // before any allocation) and surface a plain data chunk.
-        BufferPool& pool = pool_ != nullptr ? *pool_ : BufferPool::global();
-        std::vector<std::uint8_t> plain = decompress_body(
-            c.bytes, transforms_, limits_.max_chunk_bytes, pool);
-        if (plain.size() > limits_.max_stream_bytes - total_) {
-          throw TransportError("chunked stream exceeds the stream limit");
-        }
-        pool.release(std::move(c.bytes));
-        c.kind = ChunkKind::kData;
-        c.bytes = std::move(plain);
-      }
-      if (c.kind == ChunkKind::kData) total_ += c.bytes.size();
-      if (auth_ != nullptr) absorb(c.kind, c.bytes);
-      return c;
-    }
-  }
-
-  bool done() const noexcept { return done_; }
-  /// Data bytes seen so far (the verified total once done()).
-  std::uint64_t total_data_bytes() const noexcept { return total_; }
-
- private:
-  /// Absorb one surfaced (logical) chunk into the receive-side
-  /// authenticator, timed: this is the verification work the signed path
-  /// overlaps with reassembly.
-  void absorb(ChunkKind kind, std::span<const std::uint8_t> body) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auth_absorb_chunk(*auth_, kind, body);
-    if (auth_stats_.bytes_authenticated != nullptr) {
-      auth_stats_.bytes_authenticated->add(body.size());
-    }
-    if (auth_stats_.verify_ns != nullptr) {
-      auth_stats_.verify_ns->add(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    }
-  }
-
-  void verify_trailer(std::span<const std::uint8_t> trailer) {
-    const auto t0 = std::chrono::steady_clock::now();
-    bool ok = trailer[0] == auth_algo_;
-    std::uint8_t expected[kMaxAuthTagBytes];
-    const std::size_t tag_size = auth_->tag_size();
-    auth_finalize_tag(*auth_, total_,
-                      std::span<std::uint8_t>(expected, tag_size));
-    ok = constant_time_equal(trailer.subspan(1),
-                             {expected, tag_size}) &&
-         ok;
-    if (auth_stats_.verify_ns != nullptr) {
-      auth_stats_.verify_ns->add(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    }
-    if (!ok) {
-      if (auth_stats_.tag_failures != nullptr) auth_stats_.tag_failures->add();
-      throw TransportError("stream authentication tag mismatch");
-    }
-    auth_verified_ = true;
-  }
-
-  S& stream_;
-  FrameLimits limits_;
-  BufferPool* pool_ = nullptr;
-  std::uint8_t transforms_ = 0;
-  StreamAuthenticator* auth_ = nullptr;
-  std::uint8_t auth_algo_ = 0;
-  AuthStats auth_stats_{};
-  bool auth_verified_ = false;
-  std::uint64_t total_ = 0;
-  bool done_ = false;
-};
-
-/// Read one framed message; throws TransportError on malformed frames, a
-/// closed connection, or a frame that exceeds `limits`. When `pool` is
-/// given, the payload buffer is recycled from it (the caller returns it by
-/// releasing the payload — or by adopting it into a SharedBuffer).
-/// Incremental BXTP frame reassembly from arbitrary byte chunks — the
-/// event server's counterpart to read_frame, which owns a blocking stream.
-/// A reactor feeds whatever the socket had; the assembler consumes up to
-/// one frame per feed() call and parks the rest for the next call. The
-/// same defensive order as read_frame holds: every peer-declared length is
-/// checked against FrameLimits BEFORE the corresponding allocation, so a
-/// hostile length field costs a TransportError, not memory.
+/// The BXTP decoder for every version — v1 frames, v2 chunked streams, v3
+/// Hello, Accept and Message frames — as a push parser with no I/O. feed()
+/// consumes up to one frame (v1/v3), chunk (v2) or Hello/Accept and parks
+/// until the caller takes it. Every peer-declared length is checked
+/// against FrameLimits BEFORE the allocation it sizes. Malformed or
+/// over-limit input throws TransportError and poisons the parser: a byte
+/// stream cannot be resynchronized. Which control frames a role may take
+/// is the caller's check; take() refuses both where a message belongs.
 class FrameAssembler {
  public:
   explicit FrameAssembler(FrameLimits limits = {}, BufferPool* pool = nullptr,
                           bool accept_v3 = false)
       : limits_(limits), pool_(pool), accept_v3_(accept_v3) {}
 
-  /// Admit kCompressedData chunks on this connection (set after the
-  /// handshake negotiated a transform set); they decompress on take and
-  /// surface as plain kData chunks. v3 kCompressed MESSAGE payloads are
-  /// not handled here — the connection owner decompresses them alongside
-  /// dictionary decoding.
+  /// Admit kCompressedData chunks (a negotiated transform set); they
+  /// decompress on take and surface as plain kData chunks. v3 kCompressed
+  /// MESSAGE payloads are unframe_v3_payload's job.
   void set_transforms(std::uint8_t transforms) { transforms_ = transforms; }
 
-  /// Require and verify an Auth trailer on every chunked stream this
-  /// connection carries (set after the handshake negotiated an auth
-  /// algorithm). Surfaced data/patch chunks are absorbed in wire order as
-  /// they are taken; the trailer itself is verified the moment its body
-  /// completes — BEFORE the end chunk can assemble, so a handler never
-  /// observes End on a stream whose tag failed — and never surfaces.
-  /// `auth` must outlive the assembler; it is re-init()'d per stream.
+  /// Require and verify an Auth trailer on every chunked stream (a
+  /// negotiated auth algorithm). Taken chunks are absorbed in wire order;
+  /// the trailer is verified as it completes, before End can assemble, and
+  /// never surfaces. `auth` outlives the parser; it is re-init()'d per stream.
   void set_auth(StreamAuthenticator* auth, std::uint8_t algo,
                 const AuthStats& stats = {}) {
     auth_ = auth;
@@ -901,409 +601,303 @@ class FrameAssembler {
     auth_stats_ = stats;
   }
 
-  /// Consume bytes from the front of `data` until one frame (v1) or one
-  /// chunk (v2) completes or the input runs out; returns the number
-  /// consumed. When a frame completed, ready() is true and the caller must
-  /// take() it before feeding again; when a chunk completed, chunk_ready()
-  /// is true and the caller must take_chunk(). Malformed or over-limit
-  /// input throws TransportError and poisons the connection — there is no
-  /// way to resynchronize a byte stream.
+  /// Consume bytes from the front of `data` until an item completes or the
+  /// input runs out; returns the number consumed.
   std::size_t feed(std::span<const std::uint8_t> data) {
     std::size_t consumed = 0;
-    while (consumed < data.size() && state_ != State::kReady &&
-           state_ != State::kChunkReady && state_ != State::kHelloReady) {
+    while (consumed < data.size() && need() != 0) {
       consumed += step(data.subspan(consumed));
     }
     return consumed;
   }
 
+  /// Bytes the current field still wants; 0 while a completed item waits
+  /// to be taken. A reader that reads exactly this many never reads past
+  /// the frame being parsed.
+  std::size_t need() const noexcept {
+    if (state_ == State::kCtBytes) {
+      return ct_len_ - message_.content_type.size();
+    }
+    if (in_body()) return body_len_ - filled_;
+    return kFieldBytes[static_cast<std::size_t>(state_)] - have_;
+  }
+
+  /// Read-into-place window: the next min(max, need()) bytes of a payload
+  /// or chunk body, in the buffer take()/take_chunk() hand out (empty
+  /// outside a body); commit() what was written. The buffer grows only as
+  /// far as windows reach, so a peer that stalls pins no more than one.
+  std::span<std::uint8_t> body_space(std::size_t max) {
+    if (!in_body()) return {};
+    std::vector<std::uint8_t>& b = body();
+    const std::size_t end = filled_ + std::min(max, need());
+    if (b.size() < end) b.resize(end);
+    return {b.data() + filled_, end - filled_};
+  }
+
+  void commit(std::size_t n) {
+    filled_ += n;
+    if (filled_ < body_len_) return;
+    if (state_ == State::kPayload) {
+      state_ = State::kReady;
+    } else {
+      complete_chunk();
+    }
+  }
+
   bool ready() const noexcept { return state_ == State::kReady; }
+  bool chunk_ready() const noexcept { return state_ == State::kChunkReady; }
+  bool hello_ready() const noexcept { return state_ == State::kHelloReady; }
+  bool accept_ready() const noexcept { return state_ == State::kAcceptReady; }
+
+  /// True where a body begins — at a v1/v3 payload length or a v2 chunk
+  /// header — with the whole header parsed and nothing of the body.
+  bool at_body() const noexcept {
+    return (state_ == State::kLen || state_ == State::kChunkHdr) && have_ == 0;
+  }
 
   /// True between the first byte of a frame and its completion — the
-  /// window a slowloris peer stalls in. Chunk gaps of a v2 stream count:
-  /// an idle mid-stream peer holds the same resources.
+  /// window a slowloris peer stalls in, chunk gaps of a v2 stream included.
   bool mid_frame() const noexcept {
     return state_ != State::kReady && state_ != State::kHelloReady &&
+           state_ != State::kAcceptReady &&
            !(state_ == State::kFixed && have_ == 0);
   }
 
-  bool hello_ready() const noexcept { return state_ == State::kHelloReady; }
-
-  /// The completed Hello; rearms the assembler for the next frame.
-  HelloFrame take_hello() {
-    if (state_ != State::kHelloReady) {
-      throw TransportError("no assembled Hello to take");
-    }
-    state_ = State::kFixed;
-    have_ = 0;
-    return hello_;
-  }
-
-  /// Version and flags of the frame most recently completed (valid from
-  /// ready() until the next feed() makes progress). v1/v2 frames report
-  /// flags 0.
+  /// Version and flags of the frame last parsed (flags are 0 on v1/v2).
   std::uint8_t frame_version() const noexcept { return version_; }
   std::uint8_t frame_flags() const noexcept { return flags_; }
 
-  /// True while a v2 chunked message is in flight (header parsed, end
-  /// chunk not yet taken). The content type is available from
-  /// stream_content_type() for the stream's whole lifetime.
+  /// True from a v2 header until its end chunk is taken; the stream's
+  /// content type stays readable that long.
   bool streaming() const noexcept { return streaming_; }
-
-  bool chunk_ready() const noexcept { return state_ == State::kChunkReady; }
-
   const std::string& stream_content_type() const noexcept {
     return message_.content_type;
   }
 
-  /// The completed chunk; rearms the assembler for the next chunk, or for
-  /// the next message once this was the end chunk.
+  HelloFrame take_hello() {
+    rearm(State::kHelloReady, "no assembled Hello to take");
+    return hello_;
+  }
+
+  /// The server's Accept; anything else where it belongs throws.
+  AcceptFrame take_accept() {
+    rearm(State::kAcceptReady, "expected an Accept frame");
+    return accept_;
+  }
+
+  /// The completed chunk; rearms for the next chunk, or for the next
+  /// message after the end chunk.
   StreamChunk take_chunk() {
-    if (state_ != State::kChunkReady) {
-      throw TransportError("no assembled chunk to take");
-    }
-    StreamChunk c;
-    c.kind = chunk_kind_;
-    have_ = 0;
+    rearm(State::kChunkReady, "no assembled chunk to take");
     if (chunk_kind_ == ChunkKind::kEnd) {
-      // Stream complete: the next bytes start a fresh BXTP header.
-      chunk_.clear();
       message_ = {};
       streaming_ = false;
-      stream_total_ = 0;
-      auth_verified_ = false;
-      state_ = State::kFixed;
-    } else if (chunk_kind_ == ChunkKind::kCompressedData) {
-      // Decompress on take and surface a plain data chunk; the logical
-      // (decompressed) size is what counts against the stream limit and
-      // the end chunk's total.
+      return {ChunkKind::kEnd, {}};
+    }
+    StreamChunk c{chunk_kind_, std::exchange(chunk_, {})};
+    state_ = State::kChunkHdr;
+    if (c.kind == ChunkKind::kCompressedData) {
+      // The logical (decompressed) size is what counts against the stream
+      // limit and the end chunk's total.
       BufferPool& pool = pool_ != nullptr ? *pool_ : BufferPool::global();
       std::vector<std::uint8_t> plain =
-          decompress_body(chunk_, transforms_, limits_.max_chunk_bytes, pool);
+          decompress_body(c.bytes, transforms_, limits_.max_chunk_bytes, pool);
       if (plain.size() > limits_.max_stream_bytes - stream_total_) {
         throw TransportError("chunked stream exceeds the stream limit");
       }
       stream_total_ += plain.size();
-      pool.release(std::move(chunk_));
-      chunk_ = {};
-      c.kind = ChunkKind::kData;
-      c.bytes = std::move(plain);
-      state_ = State::kChunkHdr;
-    } else {
-      c.bytes = std::move(chunk_);
-      chunk_ = {};
-      state_ = State::kChunkHdr;
+      pool.release(std::move(c.bytes));
+      c = {ChunkKind::kData, std::move(plain)};
     }
-    if (auth_ != nullptr && (c.kind == ChunkKind::kData ||
-                             c.kind == ChunkKind::kPatch)) {
-      // Receive-side absorption happens on the logical (decompressed)
-      // bytes, in take order == wire order, and is timed: this is the
+    if (auth_ != nullptr) {
+      // Absorb the logical bytes in take order == wire order, timed: the
       // verification work overlapped with reassembly.
       const auto t0 = std::chrono::steady_clock::now();
-      auth_absorb_chunk(*auth_, c.kind, c.bytes);
-      if (auth_stats_.bytes_authenticated != nullptr) {
-        auth_stats_.bytes_authenticated->add(c.bytes.size());
-      }
-      if (auth_stats_.verify_ns != nullptr) {
-        auth_stats_.verify_ns->add(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-      }
+      auth_absorb_chunk(*auth_, c.kind, c.bytes, auth_stats_);
+      obs::add_elapsed_ns(auth_stats_.verify_ns, t0);
     }
     return c;
   }
 
-  /// The completed frame; resets the assembler for the next one.
+  /// The completed v1/v3 frame. A v2 stream, a Hello (a client's role
+  /// check) or an Accept (a server's) where a message belongs throws.
   soap::WireMessage take() {
-    if (state_ != State::kReady) {
-      throw TransportError("no assembled frame to take");
-    }
-    soap::WireMessage m;
-    m.content_type = std::move(message_.content_type);
-    m.payload = std::move(message_.payload);
-    message_ = {};
-    state_ = State::kFixed;
-    have_ = 0;
-    return m;
+    rearm(State::kReady,
+          streaming_       ? "chunked frame on an endpoint without a stream "
+                             "handler"
+          : hello_ready()  ? "unexpected v3 frame kind 0"
+          : accept_ready() ? "unexpected v3 frame kind 1"
+                           : "no assembled frame to take");
+    return std::exchange(message_, {});
   }
 
  private:
   enum class State : std::uint8_t {
-    kFixed,       // magic + version (5 bytes)
-    kV3Kind,      // v3: frame kind byte
-    kV3Hello,     // v3: Hello body (12 bytes)
-    kHelloReady,  // v3: one whole Hello assembled
-    kV3Flags,     // v3: Message flags byte
-    kCtLen,       // content-type length, VLS byte by byte
-    kCtBytes,     // content-type bytes
-    kLen,         // v1/v3: payload length, u64 big-endian
-    kPayload,     // v1/v3: payload bytes
-    kReady,       // v1/v3: one whole frame assembled
-    kChunkHdr,    // v2: chunk kind u8 + length u64 big-endian
-    kChunkBody,   // v2: chunk body bytes
-    kChunkReady,  // v2: one chunk assembled
+    kFixed,        // magic + version
+    kV3Kind,       // v3: frame kind byte
+    kV3Hello,      // v3: Hello body
+    kV3Accept,     // v3: Accept body
+    kV3Flags,      // v3: Message flags byte
+    kCtLen,        // content-type length, VLS byte by byte
+    kLen,          // v1/v3: payload length, u64 big-endian
+    kChunkHdr,     // v2: chunk kind u8 + length u64 big-endian
+    kCtBytes,      // content-type bytes
+    kPayload,      // v1/v3: payload bytes
+    kChunkBody,    // v2: chunk body bytes
+    kReady,        // v1/v3: one whole frame assembled
+    kChunkReady,   // v2: one chunk assembled
+    kHelloReady,   // v3: one whole Hello assembled
+    kAcceptReady,  // v3: one whole Accept assembled
   };
+  /// Bytes of the fixed-size field each state gathers in field_, in State
+  /// order (0: not a fixed-size field).
+  static constexpr std::uint8_t kFieldBytes[] = {5, 1, 12, 11, 1, 1, 8, 9,
+                                                 0, 0, 0, 0, 0, 0, 0};
+  static_assert(std::size(kFieldBytes) ==
+                static_cast<std::size_t>(State::kAcceptReady) + 1);
+
+  /// Take the item `ready` names and await the next frame; anything else
+  /// throws `what`.
+  void rearm(State ready, const char* what) {
+    if (state_ != ready) throw TransportError(what);
+    state_ = State::kFixed;
+  }
+
+  bool in_body() const noexcept {
+    return state_ == State::kPayload || state_ == State::kChunkBody;
+  }
+  std::vector<std::uint8_t>& body() {
+    return state_ == State::kPayload ? message_.payload : chunk_;
+  }
 
   /// Advance one state with the bytes at hand; returns bytes consumed.
   std::size_t step(std::span<const std::uint8_t> data) {
+    const std::size_t take = std::min(data.size(), need());
+    if (state_ == State::kCtBytes) {
+      message_.content_type.append(
+          reinterpret_cast<const char*>(data.data()), take);
+      if (need() == 0) state_ = after_content_type();
+    } else if (in_body()) {
+      // Bytes a body_space() window already sized are overwritten in
+      // place; the rest append.
+      std::vector<std::uint8_t>& b = body();
+      const std::size_t in_place = std::min(take, b.size() - filled_);
+      if (in_place > 0) std::memcpy(b.data() + filled_, data.data(), in_place);
+      b.insert(b.end(), data.begin() + static_cast<std::ptrdiff_t>(in_place),
+               data.begin() + static_cast<std::ptrdiff_t>(take));
+      commit(take);
+    } else {
+      std::memcpy(field_ + have_, data.data(), take);
+      have_ += take;
+      if (need() == 0) {
+        have_ = 0;
+        complete_field();
+      }
+    }
+    return take;
+  }
+
+  /// The fixed-size field in field_ is complete: check it and move on.
+  void complete_field() {
+    ByteReader r{std::span<const std::uint8_t>(field_)};
     switch (state_) {
-      case State::kFixed: {
-        const std::size_t take = std::min(data.size(), sizeof(fixed_) - have_);
-        std::memcpy(fixed_ + have_, data.data(), take);
-        have_ += take;
-        if (have_ == sizeof(fixed_)) {
-          if (std::memcmp(fixed_, kFrameMagic, sizeof(kFrameMagic)) != 0) {
-            throw TransportError("bad frame magic");
-          }
-          if (fixed_[4] != kFrameVersion &&
-              fixed_[4] != kFrameVersionChunked &&
-              !(fixed_[4] == kFrameVersionNegotiated && accept_v3_)) {
-            throw TransportError("unsupported frame version " +
-                                 std::to_string(fixed_[4]));
-          }
-          version_ = fixed_[4];
-          flags_ = 0;
-          if (version_ == kFrameVersionNegotiated) {
-            state_ = State::kV3Kind;
-            have_ = 0;
-            return take;
-          }
-          state_ = State::kCtLen;
-          ct_len_ = 0;
-          vls_shift_ = 0;
-          vls_bytes_ = 0;
+      case State::kFixed:
+        if (std::memcmp(field_, kFrameMagic, sizeof(kFrameMagic)) != 0) {
+          throw TransportError("bad frame magic");
         }
-        return take;
-      }
-      case State::kV3Kind: {
-        const std::uint8_t kind = data[0];
-        if (kind == static_cast<std::uint8_t>(V3FrameKind::kHello)) {
-          state_ = State::kV3Hello;
-          have_ = 0;
-        } else if (kind == static_cast<std::uint8_t>(V3FrameKind::kMessage)) {
-          state_ = State::kV3Flags;
+        version_ = field_[4];
+        flags_ = 0;
+        if (version_ == kFrameVersionNegotiated && accept_v3_) {
+          state_ = State::kV3Kind;
+        } else if (version_ == kFrameVersion ||
+                   version_ == kFrameVersionChunked) {
+          start_content_type();
         } else {
+          throw TransportError("unsupported frame version " +
+                               std::to_string(version_));
+        }
+        return;
+      case State::kV3Kind:
+        if (field_[0] > static_cast<std::uint8_t>(V3FrameKind::kMessage)) {
           throw TransportError("unexpected v3 frame kind " +
-                               std::to_string(kind));
+                               std::to_string(field_[0]));
         }
-        return 1;
-      }
-      case State::kV3Hello: {
-        const std::size_t take =
-            std::min(data.size(), sizeof(hello_body_) - have_);
-        std::memcpy(hello_body_ + have_, data.data(), take);
-        have_ += take;
-        if (have_ == sizeof(hello_body_)) {
-          hello_.min_version = hello_body_[0];
-          hello_.max_version = hello_body_[1];
-          hello_.dict_max_entries =
-              load<std::uint32_t>(hello_body_ + 2, ByteOrder::kBig);
-          hello_.dict_max_bytes =
-              load<std::uint32_t>(hello_body_ + 6, ByteOrder::kBig);
-          hello_.transforms = hello_body_[10];
-          hello_.auth = hello_body_[11];
-          if (hello_.min_version > hello_.max_version) {
-            throw TransportError("Hello with an empty version range");
-          }
-          state_ = State::kHelloReady;
+        state_ = std::array{State::kV3Hello, State::kV3Accept,
+                            State::kV3Flags}[field_[0]];
+        return;
+      case State::kV3Hello:
+        hello_ = {r.read_u8(), r.read_u8(),
+                  r.read<std::uint32_t>(ByteOrder::kBig),
+                  r.read<std::uint32_t>(ByteOrder::kBig), r.read_u8(),
+                  r.read_u8()};
+        if (hello_.min_version > hello_.max_version) {
+          throw TransportError("Hello with an empty version range");
         }
-        return take;
-      }
-      case State::kV3Flags: {
-        flags_ = data[0];
+        state_ = State::kHelloReady;
+        return;
+      case State::kV3Accept:
+        accept_ = {r.read_u8(), r.read<std::uint32_t>(ByteOrder::kBig),
+                   r.read<std::uint32_t>(ByteOrder::kBig), r.read_u8(),
+                   r.read_u8()};
+        if (accept_.version != kFrameVersion &&
+            accept_.version != kFrameVersionNegotiated) {
+          throw TransportError("Accept names an unknown version " +
+                               std::to_string(accept_.version));
+        }
+        state_ = State::kAcceptReady;
+        return;
+      case State::kV3Flags:
+        flags_ = field_[0];
         if ((flags_ & ~v3flags::kAllKnown) != 0) {
           throw TransportError("unknown v3 message flags");
         }
-        state_ = State::kCtLen;
-        ct_len_ = 0;
-        vls_shift_ = 0;
-        vls_bytes_ = 0;
-        return 1;
-      }
-      case State::kCtLen: {
-        const std::uint8_t b = data[0];
-        ct_len_ |= static_cast<std::uint64_t>(b & 0x7F) << vls_shift_;
-        vls_shift_ += 7;
-        ++vls_bytes_;
-        if ((b & 0x80) == 0) {
-          if (ct_len_ > limits_.max_content_type_bytes) {
-            throw TransportError("content type unreasonably long");
-          }
-          message_.content_type.clear();
-          message_.content_type.reserve(static_cast<std::size_t>(ct_len_));
-          state_ = ct_len_ == 0 ? after_content_type() : State::kCtBytes;
-          have_ = 0;
-        } else if (vls_bytes_ == kMaxVlsBytes) {
-          throw TransportError("malformed frame VLS");
+        start_content_type();
+        return;
+      case State::kCtLen:
+        // The tenth byte of a 64-bit VLS carries one bit and no
+        // continuation.
+        if (vls_bytes_ == kMaxVlsBytes - 1 && (field_[0] & 0xFE) != 0) {
+          throw TransportError("content-type length overflows 64 bits");
         }
-        return 1;
-      }
-      case State::kCtBytes: {
-        const std::size_t want =
-            static_cast<std::size_t>(ct_len_) - message_.content_type.size();
-        const std::size_t take = std::min(data.size(), want);
-        message_.content_type.append(
-            reinterpret_cast<const char*>(data.data()), take);
-        if (message_.content_type.size() == ct_len_) {
-          state_ = after_content_type();
-          have_ = 0;
+        ct_len_ |= static_cast<std::uint64_t>(field_[0] & 0x7F)
+                   << (7 * vls_bytes_++);
+        if ((field_[0] & 0x80) != 0) return;
+        if (ct_len_ > limits_.max_content_type_bytes) {
+          throw TransportError("content type unreasonably long");
         }
-        return take;
-      }
+        message_.content_type.reserve(static_cast<std::size_t>(ct_len_));
+        state_ = ct_len_ == 0 ? after_content_type() : State::kCtBytes;
+        return;
       case State::kLen: {
-        const std::size_t take = std::min(data.size(), std::size_t{8} - have_);
-        std::memcpy(len_be_ + have_, data.data(), take);
-        have_ += take;
-        if (have_ == 8) {
-          const std::uint64_t payload_len =
-              load<std::uint64_t>(len_be_, ByteOrder::kBig);
-          // Cap check BEFORE sizing any buffer, exactly like read_frame.
-          if (payload_len > limits_.max_message_bytes) {
-            throw TransportError(
-                "frame payload of " + std::to_string(payload_len) +
-                " bytes exceeds the " +
-                std::to_string(limits_.max_message_bytes) +
-                "-byte message limit");
-          }
-          payload_len_ = static_cast<std::size_t>(payload_len);
-          if (pool_ != nullptr) {
-            message_.payload = pool_->acquire(payload_len_);
-          } else {
-            message_.payload.reserve(payload_len_);
-          }
-          state_ = payload_len_ == 0 ? State::kReady : State::kPayload;
+        const std::uint64_t len = r.read<std::uint64_t>(ByteOrder::kBig);
+        // Cap check BEFORE sizing any buffer: a corrupt or hostile u64
+        // never reaches the allocator, the pool's included.
+        if (len > limits_.max_message_bytes) {
+          throw TransportError("frame payload of " + std::to_string(len) +
+                               " bytes exceeds the " +
+                               std::to_string(limits_.max_message_bytes) +
+                               "-byte message limit");
         }
-        return take;
+        start_body(message_.payload, static_cast<std::size_t>(len));
+        state_ = body_len_ == 0 ? State::kReady : State::kPayload;
+        return;
       }
-      case State::kPayload: {
-        const std::size_t want = payload_len_ - message_.payload.size();
-        const std::size_t take = std::min(data.size(), want);
-        message_.payload.insert(message_.payload.end(), data.data(),
-                                data.data() + take);
-        if (message_.payload.size() == payload_len_) state_ = State::kReady;
-        return take;
-      }
-      case State::kChunkHdr: {
-        const std::size_t take =
-            std::min(data.size(), sizeof(chunk_hdr_) - have_);
-        std::memcpy(chunk_hdr_ + have_, data.data(), take);
-        have_ += take;
-        if (have_ == sizeof(chunk_hdr_)) {
-          const std::uint64_t len =
-              load<std::uint64_t>(chunk_hdr_ + 1, ByteOrder::kBig);
-          if (auth_ != nullptr && auth_verified_ &&
-              chunk_hdr_[0] != static_cast<std::uint8_t>(ChunkKind::kEnd)) {
-            // The trailer must be the last chunk before End; anything
-            // after it is outside the signature.
-            throw TransportError("chunk after the auth trailer");
-          }
-          switch (chunk_hdr_[0]) {
-            case static_cast<std::uint8_t>(ChunkKind::kData):
-              chunk_kind_ = ChunkKind::kData;
-              if (len > limits_.max_chunk_bytes) {
-                throw TransportError("chunk of " + std::to_string(len) +
-                                     " bytes exceeds the chunk limit");
-              }
-              if (len > limits_.max_stream_bytes - stream_total_) {
-                throw TransportError(
-                    "chunked stream exceeds the stream limit");
-              }
-              stream_total_ += len;
-              break;
-            case static_cast<std::uint8_t>(ChunkKind::kPatch):
-              chunk_kind_ = ChunkKind::kPatch;
-              if (len > limits_.max_chunk_bytes) {
-                throw TransportError("patch chunk exceeds the chunk limit");
-              }
-              break;
-            case static_cast<std::uint8_t>(ChunkKind::kCompressedData):
-              chunk_kind_ = ChunkKind::kCompressedData;
-              // Wire-byte cap here; the decompressed size is capped (and
-              // added to the stream total) when the chunk is taken.
-              if (len > limits_.max_chunk_bytes) {
-                throw TransportError("chunk of " + std::to_string(len) +
-                                     " bytes exceeds the chunk limit");
-              }
-              break;
-            case static_cast<std::uint8_t>(ChunkKind::kAuth):
-              chunk_kind_ = ChunkKind::kAuth;
-              if (auth_ == nullptr) {
-                throw TransportError(
-                    "auth chunk on an unauthenticated stream");
-              }
-              if (len != 1 + auth_->tag_size()) {
-                throw TransportError("malformed auth trailer");
-              }
-              break;
-            case static_cast<std::uint8_t>(ChunkKind::kEnd):
-              chunk_kind_ = ChunkKind::kEnd;
-              if (len != 8) throw TransportError("malformed end chunk");
-              break;
-            default:
-              throw TransportError("unknown chunk kind " +
-                                   std::to_string(chunk_hdr_[0]));
-          }
-          // The cap check above already ran; the pool never sees a
-          // hostile length.
-          chunk_len_ = static_cast<std::size_t>(len);
-          if (pool_ != nullptr && chunk_kind_ != ChunkKind::kEnd) {
-            chunk_ = pool_->acquire(chunk_len_);
-            chunk_.clear();
-          } else {
-            chunk_.clear();
-            chunk_.reserve(chunk_len_);
-          }
-          state_ =
-              chunk_len_ == 0 ? State::kChunkReady : State::kChunkBody;
-          have_ = 0;
-        }
-        return take;
-      }
-      case State::kChunkBody: {
-        const std::size_t want = chunk_len_ - chunk_.size();
-        const std::size_t take = std::min(data.size(), want);
-        chunk_.insert(chunk_.end(), data.data(), data.data() + take);
-        if (chunk_.size() == chunk_len_) {
-          if (chunk_kind_ == ChunkKind::kAuth) {
-            // Verify the moment the trailer completes — every prior chunk
-            // has already been taken (feed() stalls on kChunkReady), so
-            // the receive-side MAC is caught up. The trailer never
-            // surfaces: rearm straight to the next chunk header.
-            verify_auth_trailer();
-            chunk_.clear();
-            state_ = State::kChunkHdr;
-            have_ = 0;
-            return take;
-          }
-          if (chunk_kind_ == ChunkKind::kEnd) {
-            if (auth_ != nullptr && !auth_verified_) {
-              if (auth_stats_.tag_failures != nullptr) {
-                auth_stats_.tag_failures->add();
-              }
-              throw TransportError(
-                  "stream ended without an authentication trailer");
-            }
-            if (load<std::uint64_t>(chunk_.data(), ByteOrder::kBig) !=
-                stream_total_) {
-              throw TransportError("chunked stream total mismatch");
-            }
-          }
-          state_ = State::kChunkReady;
-        }
-        return take;
-      }
-      case State::kReady:
-      case State::kChunkReady:
-      case State::kHelloReady:
-        return 0;
+      default:  // kChunkHdr, the only other fixed-size field
+        start_chunk(field_[0],
+                    load<std::uint64_t>(field_ + 1, ByteOrder::kBig));
+        return;
     }
-    return 0;  // unreachable
   }
 
-  /// Where the header hands off: v1 reads a payload length, v2 reads
-  /// chunks. Entering the chunk path marks the stream live (and rewinds
-  /// the per-stream authenticator on an authenticated connection).
+  void start_content_type() {
+    state_ = State::kCtLen;
+    ct_len_ = 0;
+    vls_bytes_ = 0;
+    message_.content_type.clear();
+  }
+
+  /// Where the header hands off: v1/v3 read a payload length, v2 reads
+  /// chunks. A v2 stream goes live here and rewinds its authenticator.
   State after_content_type() {
     if (version_ != kFrameVersionChunked) return State::kLen;
     streaming_ = true;
@@ -1313,25 +907,106 @@ class FrameAssembler {
     return State::kChunkHdr;
   }
 
-  /// Check the completed Auth trailer in chunk_ (algo byte + tag) against
-  /// the absorbed chunk sequence; throws TransportError on any mismatch.
+  /// Start a body of `len` bytes, already checked against its limit.
+  void start_body(std::vector<std::uint8_t>& b, std::size_t len) {
+    body_len_ = len;
+    filled_ = 0;
+    if (pool_ != nullptr) {
+      b = pool_->acquire(len);
+    } else {
+      b.reserve(len);
+    }
+  }
+
+  /// A chunk header: check it against the limits and the stream's auth
+  /// state, then start its body.
+  void start_chunk(std::uint8_t kind, std::uint64_t len) {
+    chunk_kind_ = static_cast<ChunkKind>(kind);
+    if (auth_ != nullptr && auth_verified_ && chunk_kind_ != ChunkKind::kEnd) {
+      // The trailer must be the last chunk before End; anything after it
+      // is outside the signature.
+      throw TransportError("chunk after the auth trailer");
+    }
+    switch (chunk_kind_) {
+      case ChunkKind::kData:
+      case ChunkKind::kCompressedData:
+      case ChunkKind::kPatch:
+        // A compressed chunk's decompressed size is capped (and added to
+        // the stream total) when it is taken.
+        if (len > limits_.max_chunk_bytes) {
+          throw TransportError("chunk of " + std::to_string(len) +
+                               " bytes exceeds the chunk limit");
+        }
+        if (chunk_kind_ == ChunkKind::kData) {
+          if (len > limits_.max_stream_bytes - stream_total_) {
+            throw TransportError("chunked stream exceeds the stream limit");
+          }
+          stream_total_ += len;
+        }
+        break;
+      case ChunkKind::kAuth:
+        if (auth_ == nullptr) {
+          throw TransportError("auth chunk on an unauthenticated stream");
+        }
+        if (len != 1 + auth_->tag_size()) {
+          throw TransportError("malformed auth trailer");
+        }
+        break;
+      case ChunkKind::kEnd:
+        if (len != 8) throw TransportError("malformed end chunk");
+        break;
+      default:
+        throw TransportError("unknown chunk kind " + std::to_string(kind));
+    }
+    if (chunk_kind_ == ChunkKind::kEnd) {
+      chunk_.clear();  // the total is checked here and never surfaces
+      body_len_ = 8;
+      filled_ = 0;
+    } else {
+      start_body(chunk_, static_cast<std::size_t>(len));
+    }
+    state_ = State::kChunkBody;
+    if (body_len_ == 0) complete_chunk();
+  }
+
+  /// A chunk body is complete. An Auth trailer is verified on the spot —
+  /// feed() stalls on every ready chunk, so the receive-side MAC has
+  /// absorbed all before it — and never surfaces.
+  void complete_chunk() {
+    if (chunk_kind_ == ChunkKind::kAuth) {
+      verify_auth_trailer();
+      chunk_.clear();
+      state_ = State::kChunkHdr;
+      return;
+    }
+    if (chunk_kind_ == ChunkKind::kEnd) {
+      if (auth_ != nullptr && !auth_verified_) {
+        if (auth_stats_.tag_failures != nullptr) {
+          auth_stats_.tag_failures->add();
+        }
+        throw TransportError("stream ended without an authentication trailer");
+      }
+      if (load<std::uint64_t>(chunk_.data(), ByteOrder::kBig) !=
+          stream_total_) {
+        throw TransportError("chunked stream total mismatch");
+      }
+    }
+    state_ = State::kChunkReady;
+  }
+
+  /// Check the Auth trailer in chunk_ (algo byte + tag) against the
+  /// absorbed chunk sequence.
   void verify_auth_trailer() {
     const auto t0 = std::chrono::steady_clock::now();
-    bool ok = chunk_[0] == auth_algo_;
     std::uint8_t expected[kMaxAuthTagBytes];
     const std::size_t tag_size = auth_->tag_size();
     auth_finalize_tag(*auth_, stream_total_,
                       std::span<std::uint8_t>(expected, tag_size));
-    ok = constant_time_equal(
-             std::span<const std::uint8_t>(chunk_.data() + 1, tag_size),
-             {expected, tag_size}) &&
-         ok;
-    if (auth_stats_.verify_ns != nullptr) {
-      auth_stats_.verify_ns->add(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    }
+    const bool ok = constant_time_equal(
+                        std::span<const std::uint8_t>(chunk_).subspan(1),
+                        {expected, tag_size}) &&
+                    chunk_[0] == auth_algo_;
+    obs::add_elapsed_ns(auth_stats_.verify_ns, t0);
     if (!ok) {
       if (auth_stats_.tag_failures != nullptr) auth_stats_.tag_failures->add();
       throw TransportError("stream authentication tag mismatch");
@@ -1343,39 +1018,114 @@ class FrameAssembler {
   BufferPool* pool_ = nullptr;
   bool accept_v3_ = false;
   State state_ = State::kFixed;
-  std::uint8_t fixed_[5]{};
-  std::uint8_t len_be_[8]{};
-  // v3 handshake/flags state.
-  std::uint8_t hello_body_[12]{};
-  HelloFrame hello_;
+  std::uint8_t field_[12]{};  // the fixed-size field being gathered
+  std::size_t have_ = 0;
+  std::uint8_t version_ = kFrameVersion;
   std::uint8_t flags_ = 0;
+  std::uint64_t ct_len_ = 0;
+  std::size_t vls_bytes_ = 0;
+  HelloFrame hello_;
+  AcceptFrame accept_;
+  // The body being received: message_.payload (v1/v3) or chunk_ (v2).
+  std::size_t body_len_ = 0;
+  std::size_t filled_ = 0;
+  soap::WireMessage message_;
+  // v2 stream state, and its authentication on negotiated connections.
   std::uint8_t transforms_ = 0;
-  // Stream authentication (negotiated connections only).
+  ChunkKind chunk_kind_ = ChunkKind::kData;
+  std::uint64_t stream_total_ = 0;
+  std::vector<std::uint8_t> chunk_;
+  bool streaming_ = false;
   StreamAuthenticator* auth_ = nullptr;
   std::uint8_t auth_algo_ = 0;
   AuthStats auth_stats_{};
   bool auth_verified_ = false;
-  std::size_t have_ = 0;
-  std::uint64_t ct_len_ = 0;
-  int vls_shift_ = 0;
-  std::size_t vls_bytes_ = 0;
-  std::size_t payload_len_ = 0;
-  soap::WireMessage message_;
-  // v2 chunk state.
-  std::uint8_t version_ = kFrameVersion;
-  std::uint8_t chunk_hdr_[9]{};
-  ChunkKind chunk_kind_ = ChunkKind::kData;
-  std::size_t chunk_len_ = 0;
-  std::uint64_t stream_total_ = 0;
-  std::vector<std::uint8_t> chunk_;
-  bool streaming_ = false;
 };
 
+// ---- blocking drivers ------------------------------------------------------
+
+/// Drive `p` off a blocking stream until an item completes or `stop()`
+/// holds, reading exactly need() bytes at a time (bodies into place).
+template <FrameStream S, typename Stop>
+void read_until(S& stream, FrameAssembler& p, Stop&& stop) {
+  std::uint8_t field[1024];
+  while (p.need() != 0 && !stop()) {
+    const std::span<std::uint8_t> body = p.body_space(p.need());
+    if (!body.empty()) {
+      stream.read_exact(body.data(), body.size());
+      p.commit(body.size());
+    } else {
+      const std::size_t n = std::min(p.need(), sizeof(field));
+      stream.read_exact(field, n);
+      p.feed({field, n});
+    }
+  }
+}
+
+/// Read one framed v1 message; throws TransportError on malformed frames,
+/// a closed connection, or a frame that exceeds `limits`. When `pool` is
+/// given, the payload buffer is recycled from it (the caller returns it by
+/// releasing the payload — or by adopting it into a SharedBuffer).
 template <FrameStream S>
 soap::WireMessage read_frame(S& stream, const FrameLimits& limits = {},
                              BufferPool* pool = nullptr) {
-  return read_frame_body(stream, read_frame_start(stream, limits), limits,
-                         pool);
+  FrameAssembler p(limits, pool);
+  read_until(stream, p, [&] { return p.streaming(); });
+  return p.take();
+}
+
+/// A header read by read_frame_start: everything up to the payload length
+/// (v1/v3) or the first chunk (v2).
+struct FrameStart {
+  std::uint8_t version = kFrameVersion;
+  std::uint8_t flags = 0;  // v3 Message flags; always 0 on v1/v2
+  std::string content_type;
+  std::vector<std::uint8_t> header;  // the bytes read, for read_frame_body
+
+  bool chunked() const noexcept { return version == kFrameVersionChunked; }
+};
+
+/// `accept_v3` admits v3 Message frames, for a connection that negotiated
+/// v3; a Hello or Accept where a message belongs is a TransportError.
+template <FrameStream S>
+FrameStart read_frame_start(S& stream, const FrameLimits& limits = {},
+                            bool accept_v3 = false) {
+  FrameStart start;
+  FrameAssembler p(limits, nullptr, accept_v3);
+  while (p.need() != 0 && !p.at_body()) {
+    const std::size_t at = start.header.size();
+    start.header.resize(at + p.need());
+    stream.read_exact(start.header.data() + at, start.header.size() - at);
+    p.feed(std::span<const std::uint8_t>(start.header).subspan(at));
+  }
+  if (!p.at_body()) p.take();  // a Hello or an Accept: take() rejects it
+  start.version = p.frame_version();
+  start.flags = p.frame_flags();
+  start.content_type = p.stream_content_type();
+  return start;
+}
+
+/// Finish a v1/v3 frame whose header `start` was consumed: the header is
+/// replayed into a parser with these `limits` and `pool`.
+template <FrameStream S>
+soap::WireMessage read_frame_body(S& stream, FrameStart start,
+                                  const FrameLimits& limits = {},
+                                  BufferPool* pool = nullptr) {
+  FrameAssembler p(limits, pool, start.version == kFrameVersionNegotiated);
+  p.feed(start.header);
+  read_until(stream, p, [&] { return p.streaming(); });
+  soap::WireMessage m = p.take();
+  m.content_type = std::move(start.content_type);
+  return m;
+}
+
+/// Client side of the handshake: read the server's Accept. Anything else,
+/// an old server's connection cut included, throws TransportError.
+template <FrameStream S>
+AcceptFrame read_accept(S& stream) {
+  FrameAssembler p({}, nullptr, /*accept_v3=*/true);
+  read_until(stream, p, [&] { return p.at_body(); });
+  return p.take_accept();
 }
 
 }  // namespace bxsoap::transport

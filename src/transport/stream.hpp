@@ -6,11 +6,11 @@
 // ResponseWriter, so a 256 MiB array round-trips through a server whose
 // per-stream residency is a couple of chunk buffers, not the message.
 //
-// The two abstract endpoints (StreamSource, StreamSink) are what a server
-// plugs in: the thread-per-connection pool backs them with blocking socket
-// reads/writes, the event server with bounded queues into its reactor. In
-// BOTH cases the blocking behavior of next()/write() IS the backpressure:
-// a handler that outruns its peer stalls on its own stream, nothing else.
+// The two abstract endpoints (StreamSource, StreamSink) are what a
+// transport plugs in: the event server backs them with bounded queues into
+// its reactor, TcpClientBinding with its buffered connection. In BOTH
+// cases the blocking behavior of next()/write() IS the backpressure: a
+// handler that outruns its peer stalls on its own stream, nothing else.
 //
 // Patch records are the price of bounded memory: BXSA's Size and
 // child-count fields are backpatched, so chunks already on the wire may

@@ -160,6 +160,20 @@ TEST_P(V3Chaos, SecondHelloCutsTheConnection) {
   expect_still_serving(*server);
 }
 
+// Only a client may receive an Accept: the server's parser decodes one
+// like any v3 frame, and its call site refuses it.
+TEST_P(V3Chaos, AcceptSentToTheServerCutsTheConnection) {
+  auto server = start();
+  TcpStream stream = TcpStream::connect(server->port());
+  write_hello(stream, HelloFrame{});
+  ASSERT_EQ(read_accept(stream).version, kFrameVersionNegotiated);
+  ByteWriter accept;
+  encode_accept(accept, AcceptFrame{});
+  stream.write_all(accept.bytes());
+  EXPECT_TRUE(cut(stream));
+  expect_still_serving(*server);
+}
+
 INSTANTIATE_TEST_SUITE_P(Models, V3Chaos,
                          ::testing::Values(ServerLeg::kWorkerPool,
                                            ServerLeg::kInline),

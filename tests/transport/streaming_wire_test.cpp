@@ -193,6 +193,18 @@ RecordedTransfer record_transfer() {
   return t;
 }
 
+/// Read the v2 stream in `in` chunk by chunk through the blocking driver,
+/// until its end chunk; a stream cut short throws TransportError.
+void read_stream(MemoryStream& in) {
+  FrameAssembler parser;
+  read_until(in, parser, [&] { return parser.streaming(); });
+  ASSERT_TRUE(parser.streaming());
+  while (parser.streaming()) {
+    read_until(in, parser, [] { return false; });
+    (void)parser.take_chunk();
+  }
+}
+
 TEST(ChunkedTruncation, EveryChunkBoundaryIsDetected) {
   const RecordedTransfer t = record_transfer();
   ASSERT_GT(t.boundaries.size(), 4u);
@@ -201,29 +213,17 @@ TEST(ChunkedTruncation, EveryChunkBoundaryIsDetected) {
     const std::size_t cut = t.boundaries[i];
     MemoryStream in;
     in.write_all(std::span<const std::uint8_t>(t.wire.data(), cut));
-
-    FrameStart start = read_frame_start(in);
-    ASSERT_TRUE(start.chunked());
-    ChunkedFrameReader<MemoryStream> reader(in);
     // Reading past the cut must throw (closed mid-message), never report
-    // a complete stream: done() only flips on a VERIFIED end chunk.
-    EXPECT_THROW(
-        {
-          while (!reader.done()) {
-            (void)reader.next();
-          }
-        },
-        TransportError)
+    // a complete stream: streaming() only clears on a VERIFIED end chunk.
+    EXPECT_THROW(read_stream(in), TransportError)
         << "cut after chunk " << i << " (offset " << cut << ")";
   }
 
-  // Control: the full wire parses to done() with the total verified.
+  // Control: the full wire parses to its end chunk with the total verified.
   MemoryStream in;
   in.write_all(std::span<const std::uint8_t>(t.wire.data(), t.wire.size()));
-  FrameStart start = read_frame_start(in);
-  ASSERT_TRUE(start.chunked());
-  ChunkedFrameReader<MemoryStream> reader(in);
-  while (!reader.done()) (void)reader.next();
+  read_stream(in);
+  EXPECT_EQ(in.pending(), 0u);
 }
 
 TEST(ChunkedTruncation, MidChunkCutIsDetected) {
@@ -232,13 +232,7 @@ TEST(ChunkedTruncation, MidChunkCutIsDetected) {
   const std::size_t cut = t.boundaries[0] + (t.boundaries[1] - t.boundaries[0]) / 2;
   MemoryStream in;
   in.write_all(std::span<const std::uint8_t>(t.wire.data(), cut));
-  FrameStart start = read_frame_start(in);
-  ChunkedFrameReader<MemoryStream> reader(in);
-  EXPECT_THROW(
-      {
-        while (!reader.done()) (void)reader.next();
-      },
-      TransportError);
+  EXPECT_THROW(read_stream(in), TransportError);
 }
 
 }  // namespace

@@ -276,6 +276,32 @@ TEST_P(DictChannel, SteadyStateShrinksSmallMessageWireBytes) {
       << " plain=" << plain_io.bytes_in.value();
 }
 
+// The client parses responses out of a buffered connection: a small
+// response costs one recv (two if it arrives split), not one per header
+// field — on a v1 channel and on a negotiated v3 channel with dictionaries.
+TEST_P(DictChannel, SmallExchangeCostsAtMostTwoReads) {
+  auto server = make_server(GetParam());
+  const auto request = encode_request(8);
+  for (const bool v3 : {false, true}) {
+    SCOPED_TRACE(v3 ? "v3+dict" : "v1");
+    obs::IoStats io;
+    TcpClientBinding binding(server->port());
+    if (v3) binding.enable_v3();
+    binding.set_io_stats(&io);
+    exchange(binding, request);  // connects (and negotiates)
+    ASSERT_EQ(binding.v3_active(), v3);
+    ASSERT_EQ(binding.negotiated_dict().max_entries > 0, v3);
+    for (int i = 0; i < 20; ++i) {
+      const std::uint64_t before = io.read_calls.value();
+      const auto resp = exchange(binding, request);
+      EXPECT_TRUE(services::parse_verify_response(
+                      SoapEnvelope(BxsaEncoding{}.deserialize(resp)))
+                      .ok);
+      EXPECT_LE(io.read_calls.value() - before, 2u) << "exchange " << i;
+    }
+  }
+}
+
 TEST(DictChannel, PipelinedDictResponsesStayOrderedOnTheEventServer) {
   ServerConfig cfg;
   cfg.encoding = AnyEncoding::from(BxsaEncoding{});
