@@ -48,30 +48,26 @@ SoapEnvelope large_request() {
   return SoapEnvelope::wrap(std::move(payload));
 }
 
-/// BxsaEncoding stripped down to the base EncodingPolicy concept: no
-/// serialize_into, no deserialize_shared, so every engine falls back to
-/// the historical copy-per-call path. The "before" leg of the zero-copy
-/// ablation below.
+/// BxsaEncoding with the historical copy-per-call semantics: serialize into
+/// a fresh vector then append, deserialize without keeping array views.
+/// The "before" leg of the zero-copy ablation below.
 class CopyingBxsaEncoding {
  public:
   static constexpr std::string_view content_type() {
     return BxsaEncoding::content_type();
   }
-  std::vector<std::uint8_t> serialize(const xdm::Document& d) const {
-    return enc_.serialize(d);
+  void serialize_into(const xdm::Document& d, ByteWriter& out) const {
+    const std::vector<std::uint8_t> bytes = enc_.serialize(d);
+    out.write_bytes(bytes.data(), bytes.size());
   }
-  xdm::DocumentPtr deserialize(std::span<const std::uint8_t> bytes) const {
-    return enc_.deserialize(bytes);
+  xdm::DocumentPtr deserialize_shared(const SharedBuffer& wire) const {
+    return enc_.deserialize(wire.bytes());
   }
 
  private:
   BxsaEncoding enc_;
 };
-static_assert(LegacyEncoding<CopyingBxsaEncoding>);
-// Engines take the unified Encoding concept only; the copy path rides in
-// through the default-adapter, which preserves the historical semantics.
-using AdaptedCopyingBxsa = LegacyEncodingAdapter<CopyingBxsaEncoding>;
-static_assert(Encoding<AdaptedCopyingBxsa>);
+static_assert(Encoding<CopyingBxsaEncoding>);
 
 // ---- zero-copy ablation: large-array echo over real TCP --------------------
 //
@@ -113,7 +109,7 @@ void BM_LargeArrayTcpZeroCopy(benchmark::State& state) {
 BENCHMARK(BM_LargeArrayTcpZeroCopy)->Unit(benchmark::kMicrosecond);
 
 void BM_LargeArrayTcpCopying(benchmark::State& state) {
-  large_array_tcp_round_trip<AdaptedCopyingBxsa>(state);
+  large_array_tcp_round_trip<CopyingBxsaEncoding>(state);
 }
 BENCHMARK(BM_LargeArrayTcpCopying)->Unit(benchmark::kMicrosecond);
 
@@ -314,7 +310,7 @@ void dump_stage_breakdown() {
       &registry.counter("bxsa_tcp_large_copy.pool.hit"),
       &registry.counter("bxsa_tcp_large_copy.pool.miss"),
       &registry.counter("bxsa_tcp_large_copy.pool.recycled_bytes"));
-  run_observed_stack<AdaptedCopyingBxsa, TcpClientBinding, TcpServerBinding>(
+  run_observed_stack<CopyingBxsaEncoding, TcpClientBinding, TcpServerBinding>(
       registry, "bxsa_tcp_large_copy", large_request, 20);
   BufferPool::global().attach_counters(
       &registry.counter("bxsa_tcp_large_zerocopy.pool.hit"),

@@ -1,13 +1,11 @@
 #include "bxsa/decoder.hpp"
 
 #include <cstring>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "bxsa/frame.hpp"
+#include "bxsa/cursor.hpp"
 #include "obs/metrics.hpp"
-#include "xbs/xbs.hpp"
 
 namespace bxsoap::bxsa {
 
@@ -15,49 +13,30 @@ using namespace bxsoap::xdm;
 
 namespace {
 
-/// Frame nesting bound: the decoder recurses per document/component frame,
-/// so hostile input must not be able to exhaust the stack.
-constexpr std::size_t kMaxFrameDepth = 1024;
-
 class Decoder {
  public:
   Decoder(std::span<const std::uint8_t> bytes, obs::CodecStats* stats,
           const SharedBuffer* wire = nullptr)
-      : r_(bytes), stats_(stats), wire_(wire) {}
+      : c_(bytes), stats_(stats), wire_(wire) {}
 
   NodePtr read_node() {
-    if (++depth_guard_ > kMaxFrameDepth) {
-      throw DecodeError("frame nesting exceeds the depth limit of " +
-                        std::to_string(kMaxFrameDepth));
-    }
-    const FramePrefix prefix = parse_prefix_byte(r_.get_u8());
+    const FrameInfo f = c_.open();
     if (stats_ != nullptr) {
-      stats_->frames_by_type[static_cast<std::size_t>(prefix.type)].add();
+      stats_->frames_by_type[static_cast<std::size_t>(f.type)].add();
     }
-    const std::uint64_t body = r_.get_vls();
-    if (body > r_.remaining()) {
-      throw DecodeError("frame size " + std::to_string(body) +
-                        " exceeds remaining input");
-    }
-    const std::size_t end = r_.offset() + static_cast<std::size_t>(body);
-    NodePtr node = read_body(prefix, end);
-    if (r_.offset() != end) {
-      throw DecodeError("frame body not fully consumed (at " +
-                        std::to_string(r_.offset()) + ", expected " +
-                        std::to_string(end) + ")");
-    }
-    --depth_guard_;
+    NodePtr node = read_body(f);
+    c_.close(f);
     return node;
   }
 
-  bool at_end() const { return r_.at_end(); }
+  bool at_end() const { return c_.at_end(); }
 
  private:
-  NodePtr read_body(const FramePrefix& prefix, std::size_t end) {
-    switch (prefix.type) {
+  NodePtr read_body(const FrameInfo& f) {
+    switch (f.type) {
       case FrameType::kDocument: {
         auto doc = std::make_unique<Document>();
-        const std::uint64_t n = r_.get_vls();
+        const std::uint64_t n = c_.child_count();
         for (std::uint64_t i = 0; i < n; ++i) {
           doc->add_child(read_node());
         }
@@ -65,209 +44,101 @@ class Decoder {
       }
       case FrameType::kComponentElement: {
         auto e = std::make_unique<Element>(QName());
-        read_header(*e, prefix);
-        const std::uint64_t n = r_.get_vls();
+        read_header(*e, f.order);
+        const std::uint64_t n = c_.child_count();
         for (std::uint64_t i = 0; i < n; ++i) {
           e->add_child(read_node());
         }
-        ns_stack_.pop_back();
+        scopes_.pop();
         return e;
       }
       case FrameType::kLeafElement:
-        return read_leaf(prefix);
+        return read_leaf(f.order);
       case FrameType::kArrayElement:
-        return read_array(prefix);
+        return read_array(f.order);
       case FrameType::kCharacterData:
-        return std::make_unique<TextNode>(read_counted_string());
+        return std::make_unique<TextNode>(std::string(c_.string()));
       case FrameType::kComment:
-        return std::make_unique<CommentNode>(read_counted_string());
+        return std::make_unique<CommentNode>(std::string(c_.string()));
       case FrameType::kPI: {
-        std::string target = r_.get_string();
-        std::string data = r_.get_string();
+        std::string target(c_.string());
+        std::string data(c_.string());
         return std::make_unique<PINode>(std::move(target), std::move(data));
       }
     }
-    (void)end;
     throw DecodeError("unreachable frame type");
   }
 
-  std::string read_counted_string() { return r_.get_string(); }
+  /// Interns the header into the element, resolving names as they come.
+  struct HeaderReader : HeaderSink {
+    ElementBase& e;
+    NsScopes& scopes;
+    ByteOrder order;
 
-  // ---- element pieces -------------------------------------------------------
-
-  QName read_qname_ref() {
-    const std::uint64_t depth = r_.get_vls();
-    if (depth == 0) {
-      return QName(r_.get_string());
+    void decl(const NsView& d) {
+      e.declare_namespace(std::string(d.prefix), std::string(d.uri));
+      scopes.declare(d);
     }
-    const std::uint64_t index = r_.get_vls();
-    if (depth > ns_stack_.size()) {
-      throw DecodeError("namespace scope depth " + std::to_string(depth) +
-                        " exceeds open-element depth " +
-                        std::to_string(ns_stack_.size()));
+    void name(const QNameRef& q) { e.set_name(scopes.qname(q)); }
+    void attr(const QNameRef& q, const RawValue& v) {
+      e.add_attribute(scopes.qname(q), to_scalar(v, order));
     }
-    const auto& table = ns_stack_[ns_stack_.size() - depth];
-    if (index >= table.size()) {
-      throw DecodeError("namespace index " + std::to_string(index) +
-                        " out of range for symbol table of size " +
-                        std::to_string(table.size()));
-    }
-    const NsEntry& d = table[index];
-    return QName(std::string(d.uri), r_.get_string(), std::string(d.prefix));
-  }
-
-  ScalarValue read_scalar(AtomType t, ByteOrder order) {
-    switch (t) {
-      case AtomType::kString:
-        return r_.get_string();
-      case AtomType::kInt8:
-        return r_.get_unaligned<std::int8_t>(order);
-      case AtomType::kUInt8:
-        return r_.get_unaligned<std::uint8_t>(order);
-      case AtomType::kInt16:
-        return r_.get_unaligned<std::int16_t>(order);
-      case AtomType::kUInt16:
-        return r_.get_unaligned<std::uint16_t>(order);
-      case AtomType::kInt32:
-        return r_.get_unaligned<std::int32_t>(order);
-      case AtomType::kUInt32:
-        return r_.get_unaligned<std::uint32_t>(order);
-      case AtomType::kInt64:
-        return r_.get_unaligned<std::int64_t>(order);
-      case AtomType::kUInt64:
-        return r_.get_unaligned<std::uint64_t>(order);
-      case AtomType::kFloat32:
-        return r_.get_unaligned<float>(order);
-      case AtomType::kFloat64:
-        return r_.get_unaligned<double>(order);
-      case AtomType::kBool: {
-        const std::uint8_t b = r_.get_u8();
-        if (b > 1) throw DecodeError("boolean value byte must be 0 or 1");
-        return b == 1;
-      }
-    }
-    throw DecodeError("unknown atom type code");
-  }
-
-  AtomType read_atom_code() {
-    const std::uint8_t code = r_.get_u8();
-    if (code > static_cast<std::uint8_t>(AtomType::kBool)) {
-      throw DecodeError("unknown atom type code " + std::to_string(code));
-    }
-    return static_cast<AtomType>(code);
-  }
+  };
 
   /// Reads the shared header into `e` and pushes the frame's symbol table
   /// (the caller pops it when the frame ends).
-  void read_header(ElementBase& e, const FramePrefix& prefix) {
-    const std::uint64_t n1 = r_.get_vls();
-    // The count is attacker-controlled; every declaration costs at least
-    // two VLS length bytes of input, so a count the remaining bytes cannot
-    // possibly back is rejected BEFORE it sizes an allocation.
-    if (n1 > r_.remaining() / 2) {
-      throw DecodeError("namespace decl count " + std::to_string(n1) +
-                        " exceeds remaining input");
-    }
-    // The decoder's own symbol stack holds views into the wire bytes (which
-    // outlive decoding), so only the strings interned into the element cost
-    // an allocation.
-    std::vector<NsEntry> table;
-    table.reserve(static_cast<std::size_t>(n1));
-    for (std::uint64_t i = 0; i < n1; ++i) {
-      const std::string_view pfx = r_.get_string_view();
-      const std::string_view uri = r_.get_string_view();
-      e.declare_namespace(std::string(pfx), std::string(uri));
-      table.push_back({pfx, uri});
-    }
-    ns_stack_.push_back(std::move(table));
-
-    e.set_name(read_qname_ref());
-
-    const std::uint64_t n2 = r_.get_vls();
-    // Same defense: an attribute is at least a QNameRef, an atom code and
-    // one value byte.
-    if (n2 > r_.remaining() / 3) {
-      throw DecodeError("attribute count " + std::to_string(n2) +
-                        " exceeds remaining input");
-    }
-    for (std::uint64_t i = 0; i < n2; ++i) {
-      QName name = read_qname_ref();
-      const AtomType t = read_atom_code();
-      e.add_attribute(std::move(name), read_scalar(t, prefix.order));
-    }
+  void read_header(ElementBase& e, ByteOrder order) {
+    scopes_.push();
+    HeaderReader sink{{}, e, scopes_, order};
+    c_.header(sink);
   }
 
-  template <Atomic T>
-  NodePtr finish_leaf(Element&& header_holder, ScalarValue v) {
-    auto leaf = std::make_unique<LeafElement<T>>(header_holder.name(),
-                                                 scalar_get<T>(v));
-    for (const auto& d : header_holder.namespaces()) {
-      leaf->declare_namespace(d.prefix, d.uri);
+  /// Moves what read_header() collected in `holder` onto the typed node.
+  static NodePtr finish(std::unique_ptr<ElementBase> node, Element&& holder) {
+    for (const auto& d : holder.namespaces()) {
+      node->declare_namespace(d.prefix, d.uri);
     }
-    leaf->attributes() = std::move(header_holder.attributes());
-    return leaf;
+    node->attributes() = std::move(holder.attributes());
+    return node;
   }
 
-  NodePtr read_leaf(const FramePrefix& prefix) {
+  NodePtr read_leaf(ByteOrder order) {
     Element header{QName()};
-    read_header(header, prefix);
-    const AtomType t = read_atom_code();
-    ScalarValue v = read_scalar(t, prefix.order);
-    ns_stack_.pop_back();
-    switch (t) {
-      case AtomType::kString:
-        return finish_leaf<std::string>(std::move(header), std::move(v));
-      case AtomType::kInt8:
-        return finish_leaf<std::int8_t>(std::move(header), std::move(v));
-      case AtomType::kUInt8:
-        return finish_leaf<std::uint8_t>(std::move(header), std::move(v));
-      case AtomType::kInt16:
-        return finish_leaf<std::int16_t>(std::move(header), std::move(v));
-      case AtomType::kUInt16:
-        return finish_leaf<std::uint16_t>(std::move(header), std::move(v));
-      case AtomType::kInt32:
-        return finish_leaf<std::int32_t>(std::move(header), std::move(v));
-      case AtomType::kUInt32:
-        return finish_leaf<std::uint32_t>(std::move(header), std::move(v));
-      case AtomType::kInt64:
-        return finish_leaf<std::int64_t>(std::move(header), std::move(v));
-      case AtomType::kUInt64:
-        return finish_leaf<std::uint64_t>(std::move(header), std::move(v));
-      case AtomType::kFloat32:
-        return finish_leaf<float>(std::move(header), std::move(v));
-      case AtomType::kFloat64:
-        return finish_leaf<double>(std::move(header), std::move(v));
-      case AtomType::kBool:
-        return finish_leaf<bool>(std::move(header), std::move(v));
-    }
-    throw DecodeError("unknown leaf atom type");
+    read_header(header, order);
+    const RawValue raw = c_.value();
+    scopes_.pop();
+    ScalarValue v = to_scalar(raw, order);
+    return std::visit(
+        [&](auto& x) {
+          using T = std::decay_t<decltype(x)>;
+          return finish(
+              std::make_unique<LeafElement<T>>(header.name(), std::move(x)),
+              std::move(header));
+        },
+        v);
   }
 
-  template <PackedAtomic T>
-  NodePtr finish_array(Element&& header_holder, std::string item_name,
-                       std::size_t count, ByteOrder order) {
-    auto arr = std::make_unique<ArrayElement<T>>(header_holder.name());
-    arr->set_item_name(std::move(item_name));
-    read_items<T>(*arr, count, order);
-    for (const auto& d : header_holder.namespaces()) {
-      arr->declare_namespace(d.prefix, d.uri);
-    }
-    arr->attributes() = std::move(header_holder.attributes());
-    return arr;
+  NodePtr read_array(ByteOrder order) {
+    Element header{QName()};
+    read_header(header, order);
+    const ArrayTail tail = c_.array_tail();
+    scopes_.pop();
+    return visit_packed_type(tail.type, [&]<typename T>(std::type_identity<T>) {
+      auto arr = std::make_unique<ArrayElement<T>>(header.name());
+      arr->set_item_name(std::string(tail.item_name));
+      set_items<T>(*arr, tail, order);
+      return finish(std::move(arr), std::move(header));
+    });
   }
 
   /// Array payload: a zero-copy view into the wire buffer when a lifetime
   /// owner is present, the byte order already matches the host, and the
   /// payload lands machine-aligned; otherwise one memcpy (+ swap).
   template <PackedAtomic T>
-  void read_items(ArrayElement<T>& arr, std::size_t count, ByteOrder order) {
-    r_.align_to(sizeof(T));
-    // Divide, don't multiply: count * sizeof(T) can wrap size_t on a
-    // hostile count and defeat get_raw's own bounds check.
-    if (count > r_.remaining() / sizeof(T)) {
-      throw DecodeError("array count exceeds remaining input");
-    }
-    const auto raw = r_.get_raw(count * sizeof(T));
+  void set_items(ArrayElement<T>& arr, const ArrayTail& tail,
+                 ByteOrder order) {
+    const std::size_t count = tail.count;
+    const auto raw = tail.payload;
     // XBS aligns relative to the stream origin; the buffer's own base
     // address decides whether a native T* may point at the payload.
     const bool aligned =
@@ -289,61 +160,8 @@ class Decoder {
     arr.values() = std::move(vals);
   }
 
-  NodePtr read_array(const FramePrefix& prefix) {
-    Element header{QName()};
-    read_header(header, prefix);
-    const AtomType t = read_atom_code();
-    std::string item_name = r_.get_string();
-    const std::uint64_t count64 = r_.get_vls();
-    ns_stack_.pop_back();
-    const std::size_t count = static_cast<std::size_t>(count64);
-    const ByteOrder o = prefix.order;
-    switch (t) {
-      case AtomType::kInt8:
-        return finish_array<std::int8_t>(std::move(header),
-                                         std::move(item_name), count, o);
-      case AtomType::kUInt8:
-        return finish_array<std::uint8_t>(std::move(header),
-                                          std::move(item_name), count, o);
-      case AtomType::kInt16:
-        return finish_array<std::int16_t>(std::move(header),
-                                          std::move(item_name), count, o);
-      case AtomType::kUInt16:
-        return finish_array<std::uint16_t>(std::move(header),
-                                           std::move(item_name), count, o);
-      case AtomType::kInt32:
-        return finish_array<std::int32_t>(std::move(header),
-                                          std::move(item_name), count, o);
-      case AtomType::kUInt32:
-        return finish_array<std::uint32_t>(std::move(header),
-                                           std::move(item_name), count, o);
-      case AtomType::kInt64:
-        return finish_array<std::int64_t>(std::move(header),
-                                          std::move(item_name), count, o);
-      case AtomType::kUInt64:
-        return finish_array<std::uint64_t>(std::move(header),
-                                           std::move(item_name), count, o);
-      case AtomType::kFloat32:
-        return finish_array<float>(std::move(header), std::move(item_name),
-                                   count, o);
-      case AtomType::kFloat64:
-        return finish_array<double>(std::move(header), std::move(item_name),
-                                    count, o);
-      case AtomType::kBool:
-      case AtomType::kString:
-        throw DecodeError("array frame with non-packed item type");
-    }
-    throw DecodeError("unknown array atom type");
-  }
-
-  struct NsEntry {
-    std::string_view prefix;
-    std::string_view uri;
-  };
-
-  xbs::Reader r_;
-  std::vector<std::vector<NsEntry>> ns_stack_;
-  std::size_t depth_guard_ = 0;
+  Cursor c_;
+  NsScopes scopes_;
   obs::CodecStats* stats_;
   const SharedBuffer* wire_;
 };

@@ -1,68 +1,95 @@
 #include "bxsa/dict.hpp"
 
 #include <string_view>
+#include <type_traits>
 
-#include "bxsa/frame.hpp"
+#include "bxsa/cursor.hpp"
 #include "common/vls.hpp"
-#include "xbs/xbs.hpp"
-#include "xdm/atom.hpp"
 
 namespace bxsoap::bxsa {
 
 namespace {
 
-using xdm::AtomType;
-
-/// Same recursion bound as the decoder: the transform recurses per
-/// document/component frame and hostile input must not exhaust the stack.
-constexpr std::size_t kMaxFrameDepth = 1024;
-
 constexpr std::uint64_t kTagLiteral = 0;   // literal, not admitted
 constexpr std::uint64_t kTagAdd = 1;       // literal, admitted as next entry
 constexpr std::uint64_t kTagRefBase = 2;   // tag k>=2 references entry k-2
 
-/// One pass over one document stream. Both directions share the frame walk;
-/// only symbol() differs: the encode side folds literals into DStrings, the
-/// decode side expands DStrings back to literals. All counts, lengths and
-/// Size fields are re-emitted canonically (input from our encoder is
-/// canonical, so the round trip is byte-identical), and array alignment
-/// padding is re-derived from output offsets since references shift every
-/// downstream byte.
+/// Symbol policy of a dictionary-coded stream: a symbol is a DString,
+/// expanded against the table (and admitted into it on tag 1) as it is read.
+struct DictSymbols {
+  SymbolDictionary* dict;
+  DictCounts* counts;
+
+  template <typename Cursor>
+  std::string_view operator()(Cursor& c) const {
+    const std::uint64_t tag = c.vls();
+    if (tag >= kTagRefBase) {
+      ++counts->hits;
+      return dict->entry(tag - kTagRefBase);
+    }
+    const std::string_view sym = c.string();
+    if (tag != kTagAdd) {
+      ++counts->misses;
+      return sym;
+    }
+    if (!dict->can_add(sym)) {
+      throw DecodeError(
+          "dictionary admission exceeds the negotiated table bounds");
+    }
+    if (dict->find(sym)) {
+      throw DecodeError(
+          "dictionary admission of an entry already present in the table");
+    }
+    dict->add(sym);
+    ++counts->added;
+    return sym;
+  }
+};
+
+/// One pass over one document stream: the read half is a cursor (plain
+/// symbols when encoding, DStrings when decoding), the write half
+/// re-emits each piece as it is read — the encode side folding symbols
+/// into DStrings, the decode side writing them back as plain Strings. It
+/// resolves no QNameRef and checks no bool byte: the decoder downstream
+/// does both. All counts, lengths and Size fields are re-emitted
+/// canonically (input from our encoder is canonical, so the round trip is
+/// byte-identical), and array alignment padding is re-derived from output
+/// offsets since references shift every downstream byte.
+template <bool kEncode>
 class Transform {
+  using Symbols = std::conditional_t<kEncode, PlainSymbols, DictSymbols>;
+
  public:
   Transform(std::span<const std::uint8_t> in, SymbolDictionary& dict,
-            ByteWriter& out, bool encode)
-      : r_(in), dict_(dict), out_(&out), base_(out.size()), encode_(encode) {}
+            ByteWriter& out)
+      : c_(in, symbols(dict)), dict_(dict), out_(&out), base_(out.size()) {}
 
   DictCounts run() {
     frame();
-    if (!r_.at_end()) {
+    if (!c_.at_end()) {
       throw DecodeError("trailing bytes after the top-level frame");
     }
     return counts_;
   }
 
  private:
+  Symbols symbols(SymbolDictionary& dict) {
+    if constexpr (kEncode) {
+      return {};
+    } else {
+      return {&dict, &counts_};
+    }
+  }
+
   // Offset of the next output byte relative to the document start (the
   // receiver decodes the payload from offset 0, so array padding must be
   // derived from this, not from whatever the writer already held).
   std::size_t out_offset() const { return out_->size() - base_; }
 
   void frame() {
-    if (++depth_ > kMaxFrameDepth) {
-      throw DecodeError("frame nesting exceeds the depth limit of " +
-                        std::to_string(kMaxFrameDepth));
-    }
-    const std::uint8_t prefix_byte = r_.get_u8();
-    const FramePrefix prefix = parse_prefix_byte(prefix_byte);
-    const std::uint64_t body = r_.get_vls();
-    if (body > r_.remaining()) {
-      throw DecodeError("frame size " + std::to_string(body) +
-                        " exceeds remaining input");
-    }
-    const std::size_t in_end = r_.offset() + static_cast<std::size_t>(body);
-
-    switch (prefix.type) {
+    const FrameInfo f = c_.open();
+    const std::uint8_t prefix_byte = make_prefix_byte(f.type, f.order);
+    switch (f.type) {
       // Backpatched frames: the body may contain arrays whose padding
       // depends on absolute offsets, so reserve the encoder's fixed 5-byte
       // Size and fill it in once the body is down.
@@ -72,18 +99,13 @@ class Transform {
         out_->write_u8(prefix_byte);
         const std::size_t size_at = out_->size();
         out_->write_padding(kSizeFieldWidth);
-        if (prefix.type == FrameType::kDocument) {
-          const std::uint64_t n = r_.get_vls();
-          vls_write(*out_, n);
-          for (std::uint64_t i = 0; i < n; ++i) frame();
-        } else if (prefix.type == FrameType::kComponentElement) {
-          header();
-          const std::uint64_t n = r_.get_vls();
-          vls_write(*out_, n);
-          for (std::uint64_t i = 0; i < n; ++i) frame();
-        } else {
-          header();
+        if (f.type != FrameType::kDocument) header();
+        if (f.type == FrameType::kArrayElement) {
           array_tail();
+        } else {
+          const std::uint64_t n = c_.child_count();
+          vls_write(*out_, n);
+          for (std::uint64_t i = 0; i < n; ++i) frame();
         }
         std::uint8_t size_buf[kSizeFieldWidth];
         vls_encode_padded(out_->size() - size_at - kSizeFieldWidth,
@@ -98,9 +120,7 @@ class Transform {
         {
           ScopedOut scope(*this, tmp);
           header();
-          const std::uint8_t code = r_.get_u8();
-          tmp.write_u8(code);
-          value(code);
+          write_value(c_.value());
         }
         emit_sized(prefix_byte, tmp);
         break;
@@ -110,7 +130,7 @@ class Transform {
         ByteWriter tmp;
         {
           ScopedOut scope(*this, tmp);
-          copy_string();
+          write_string(c_.string());
         }
         emit_sized(prefix_byte, tmp);
         break;
@@ -119,20 +139,14 @@ class Transform {
         ByteWriter tmp;
         {
           ScopedOut scope(*this, tmp);
-          copy_string();
-          copy_string();
+          write_string(c_.string());
+          write_string(c_.string());
         }
         emit_sized(prefix_byte, tmp);
         break;
       }
     }
-
-    if (r_.offset() != in_end) {
-      throw DecodeError("frame body not fully consumed (at " +
-                        std::to_string(r_.offset()) + ", expected " +
-                        std::to_string(in_end) + ")");
-    }
-    --depth_;
+    c_.close(f);
   }
 
   /// Redirects output into a scratch buffer for canonical-Size bodies.
@@ -159,171 +173,102 @@ class Transform {
     out_->write_bytes(body.bytes());
   }
 
-  // ---- element pieces -----------------------------------------------------
+  // ---- write half -----------------------------------------------------------
+
+  /// Re-emits the header as the cursor reads it.
+  struct HeaderWriter : HeaderSink {
+    Transform& t;
+    void decl_count(std::uint64_t n) { vls_write(*t.out_, n); }
+    void decl(const NsView& d) {
+      t.write_symbol(d.prefix);
+      t.write_symbol(d.uri);
+    }
+    void name(const QNameRef& q) { t.write_qname_ref(q); }
+    void attr_count(std::uint64_t n) { vls_write(*t.out_, n); }
+    void attr(const QNameRef& q, const RawValue& v) {
+      t.write_qname_ref(q);
+      t.write_value(v);
+    }
+  };
 
   void header() {
-    const std::uint64_t n1 = r_.get_vls();
-    if (n1 > r_.remaining() / 2) {
-      throw DecodeError("namespace decl count " + std::to_string(n1) +
-                        " exceeds remaining input");
-    }
-    vls_write(*out_, n1);
-    for (std::uint64_t i = 0; i < n1; ++i) {
-      symbol();  // prefix
-      symbol();  // uri
-    }
-    qname_ref();
-    const std::uint64_t n2 = r_.get_vls();
-    if (n2 > r_.remaining() / 3) {
-      throw DecodeError("attribute count " + std::to_string(n2) +
-                        " exceeds remaining input");
-    }
-    vls_write(*out_, n2);
-    for (std::uint64_t i = 0; i < n2; ++i) {
-      qname_ref();
-      const std::uint8_t code = r_.get_u8();
-      out_->write_u8(code);
-      value(code);
-    }
+    HeaderWriter sink{{}, *this};
+    c_.header(sink);
   }
 
-  void qname_ref() {
-    const std::uint64_t depth = r_.get_vls();
-    vls_write(*out_, depth);
-    if (depth != 0) {
-      vls_write(*out_, r_.get_vls());  // ns index within that frame's table
-    }
-    symbol();  // local name
+  void write_qname_ref(const QNameRef& q) {
+    vls_write(*out_, q.depth);
+    if (q.depth != 0) vls_write(*out_, q.index);
+    write_symbol(q.local);
   }
 
   void array_tail() {
-    const std::uint8_t code = r_.get_u8();
-    if (code > static_cast<std::uint8_t>(AtomType::kBool)) {
-      throw DecodeError("unknown array item type code " + std::to_string(code));
-    }
-    const std::size_t item = xdm::atom_wire_size(static_cast<AtomType>(code));
-    if (item == 0) throw DecodeError("array frame with variable-width items");
-    out_->write_u8(code);
-    symbol();  // item name
-    const std::uint64_t count = r_.get_vls();
-    vls_write(*out_, count);
-    r_.align_to(item);
-    out_->write_padding(xbs::padding_for(out_offset(), item));
-    // Divide, don't multiply: count * item can wrap size_t on a hostile
-    // count and defeat get_raw's own bounds check.
-    if (count > r_.remaining() / item) {
-      throw DecodeError("array count exceeds remaining input");
-    }
-    out_->write_bytes(r_.get_raw(static_cast<std::size_t>(count) * item));
+    const ArrayTail tail = c_.array_tail();
+    out_->write_u8(static_cast<std::uint8_t>(tail.type));
+    write_symbol(tail.item_name);
+    vls_write(*out_, tail.count);
+    out_->write_padding(
+        xbs::padding_for(out_offset(), xdm::atom_wire_size(tail.type)));
+    out_->write_bytes(tail.payload);
   }
 
-  /// Typed attribute/leaf value given its atom code: content, copied
-  /// verbatim (fixed-width scalars are order-agnostic byte copies).
-  void value(std::uint8_t code) {
-    if (code > static_cast<std::uint8_t>(AtomType::kBool)) {
-      throw DecodeError("unknown atom type code " + std::to_string(code));
+  /// Typed attribute/leaf value: content, copied verbatim (fixed-width
+  /// scalars are order-agnostic byte copies).
+  void write_value(const RawValue& v) {
+    out_->write_u8(static_cast<std::uint8_t>(v.type));
+    if (v.type == xdm::AtomType::kString) {
+      vls_write(*out_, v.bytes.size());
     }
-    const auto t = static_cast<AtomType>(code);
-    if (t == AtomType::kString) {
-      copy_string();
-    } else {
-      out_->write_bytes(r_.get_raw(xdm::atom_wire_size(t)));
-    }
+    out_->write_bytes(v.bytes);
   }
 
   /// A String that is content, not a symbol: re-emitted canonically.
-  void copy_string() {
-    const std::uint64_t n = r_.get_vls();
-    if (n > r_.remaining()) {
-      throw DecodeError("string length exceeds remaining input");
-    }
-    vls_write(*out_, n);
-    out_->write_bytes(r_.get_raw(static_cast<std::size_t>(n)));
+  void write_string(std::string_view s) {
+    vls_write(*out_, s.size());
+    out_->write_bytes(s.data(), s.size());
   }
 
-  /// A symbol String: fold to / expand from a DString.
-  void symbol() {
-    if (encode_) {
-      const std::uint64_t n = r_.get_vls();
-      if (n > r_.remaining()) {
-        throw DecodeError("string length exceeds remaining input");
-      }
-      const auto raw = r_.get_raw(static_cast<std::size_t>(n));
-      const std::string_view sym(reinterpret_cast<const char*>(raw.data()),
-                                 raw.size());
-      if (const auto idx = dict_.find(sym)) {
-        const std::uint64_t tag = *idx + kTagRefBase;
-        vls_write(*out_, tag);
-        ++counts_.hits;
-        const std::size_t literal = vls_size(n) + sym.size();
-        const std::size_t ref = vls_size(tag);
-        if (literal > ref) counts_.bytes_saved += literal - ref;
-      } else if (dict_.can_add(sym)) {
-        vls_write(*out_, kTagAdd);
-        vls_write(*out_, n);
-        out_->write_bytes(raw);
-        dict_.add(sym);
-        ++counts_.added;
-      } else {
-        vls_write(*out_, kTagLiteral);
-        vls_write(*out_, n);
-        out_->write_bytes(raw);
-        ++counts_.misses;
-      }
+  /// A symbol: folded into a DString when encoding; when decoding the
+  /// cursor already expanded it, so it goes back out as a plain String.
+  void write_symbol(std::string_view sym) {
+    if constexpr (!kEncode) {
+      write_string(sym);
+    } else if (const auto idx = dict_.find(sym)) {
+      const std::uint64_t tag = *idx + kTagRefBase;
+      vls_write(*out_, tag);
+      ++counts_.hits;
+      const std::size_t literal = vls_size(sym.size()) + sym.size();
+      const std::size_t ref = vls_size(tag);
+      if (literal > ref) counts_.bytes_saved += literal - ref;
+    } else if (dict_.can_add(sym)) {
+      vls_write(*out_, kTagAdd);
+      write_string(sym);
+      dict_.add(sym);
+      ++counts_.added;
     } else {
-      const std::uint64_t tag = r_.get_vls();
-      if (tag >= kTagRefBase) {
-        const std::string_view sym = dict_.entry(tag - kTagRefBase);
-        vls_write(*out_, sym.size());
-        out_->write_bytes(sym.data(), sym.size());
-        ++counts_.hits;
-      } else {
-        const std::uint64_t n = r_.get_vls();
-        if (n > r_.remaining()) {
-          throw DecodeError("string length exceeds remaining input");
-        }
-        const auto raw = r_.get_raw(static_cast<std::size_t>(n));
-        vls_write(*out_, n);
-        out_->write_bytes(raw);
-        if (tag == kTagAdd) {
-          const std::string_view sym(reinterpret_cast<const char*>(raw.data()),
-                                     raw.size());
-          if (!dict_.can_add(sym)) {
-            throw DecodeError(
-                "dictionary admission exceeds the negotiated table bounds");
-          }
-          if (dict_.find(sym)) {
-            throw DecodeError("dictionary admission of an entry already "
-                              "present in the table");
-          }
-          dict_.add(sym);
-          ++counts_.added;
-        } else {
-          ++counts_.misses;
-        }
-      }
+      vls_write(*out_, kTagLiteral);
+      write_string(sym);
+      ++counts_.misses;
     }
   }
 
-  xbs::Reader r_;
+  DictCounts counts_;
+  BasicCursor<Symbols> c_;
   SymbolDictionary& dict_;
   ByteWriter* out_;
   std::size_t base_;
-  bool encode_;
-  std::size_t depth_ = 0;
-  DictCounts counts_;
 };
 
 }  // namespace
 
 DictCounts dict_encode(std::span<const std::uint8_t> in,
                        SymbolDictionary& dict, ByteWriter& out) {
-  return Transform(in, dict, out, /*encode=*/true).run();
+  return Transform<true>(in, dict, out).run();
 }
 
 DictCounts dict_decode(std::span<const std::uint8_t> in,
                        SymbolDictionary& dict, ByteWriter& out) {
-  return Transform(in, dict, out, /*encode=*/false).run();
+  return Transform<false>(in, dict, out).run();
 }
 
 }  // namespace bxsoap::bxsa

@@ -3,29 +3,14 @@
 #include <optional>
 
 #include "bxsa/frame.hpp"
+#include "bxsa/header_writer.hpp"
 #include "obs/metrics.hpp"
-#include "xbs/xbs.hpp"
 
 namespace bxsoap::bxsa {
 
 using namespace bxsoap::xdm;
 
 namespace {
-
-struct NsRef {
-  std::uint64_t depth = 0;  // 0 = no namespace
-  std::uint64_t index = 0;
-};
-
-/// Resolved element header: symbol table (explicit + auto declarations) and
-/// QNameRefs for the element name and each attribute. Planned before any
-/// byte is written because the table is serialized ahead of the names that
-/// reference it.
-struct HeaderPlan {
-  std::vector<NamespaceDecl> table;
-  NsRef name_ref;
-  std::vector<NsRef> attr_refs;
-};
 
 std::size_t string_field_size(std::string_view s) {
   return vls_size(s.size()) + s.size();
@@ -71,8 +56,7 @@ class Encoder final : public NodeVisitor {
 
   void visit(const Element& e) override {
     BackpatchedFrame frame(*this, FrameType::kComponentElement);
-    const HeaderPlan plan = plan_header(e);
-    emit_header(e, plan);
+    put_header(w_, plan(e), e.name(), e.attributes(), ns_stack_);
     w_.put_vls(e.children().size());
     for (const auto& c : e.children()) c->accept(*this);
     ns_stack_.pop_back();
@@ -81,24 +65,23 @@ class Encoder final : public NodeVisitor {
   void visit(const LeafElementBase& e) override {
     // Leaf frames carry no offset-dependent padding, so their Size is
     // computed up front and written canonically (no 5-byte reservation).
-    const HeaderPlan plan = plan_header(e);
+    HeaderPlan header = plan(e);
     const ScalarValue value = e.scalar();
     const std::size_t body =
-        header_size(e, plan) + 1 + scalar_value_size(value);
+        header_size(e, header) + 1 + scalar_value_size(value);
 
     count_frame(FrameType::kLeafElement);
     w_.put_u8(make_prefix_byte(FrameType::kLeafElement, order_));
     w_.put_vls(body);
-    emit_header(e, plan);
+    put_header(w_, std::move(header), e.name(), e.attributes(), ns_stack_);
     w_.put_u8(static_cast<std::uint8_t>(e.atom_type()));
-    put_scalar(value);
+    put_scalar(w_, value);
     ns_stack_.pop_back();
   }
 
   void visit(const ArrayElementBase& e) override {
     BackpatchedFrame frame(*this, FrameType::kArrayElement);
-    const HeaderPlan plan = plan_header(e);
-    emit_header(e, plan);
+    put_header(w_, plan(e), e.name(), e.attributes(), ns_stack_);
     w_.put_u8(static_cast<std::uint8_t>(e.atom_type()));
     w_.put_string(e.item_name());
     w_.put_vls(e.count());
@@ -107,21 +90,21 @@ class Encoder final : public NodeVisitor {
   }
 
   void visit(const TextNode& t) override {
-    put_string_frame(FrameType::kCharacterData, t.text());
+    count_frame(FrameType::kCharacterData);
+    put_string_frame(w_, make_prefix_byte(FrameType::kCharacterData, order_),
+                     {t.text()});
   }
 
   void visit(const CommentNode& c) override {
-    put_string_frame(FrameType::kComment, c.text());
+    count_frame(FrameType::kComment);
+    put_string_frame(w_, make_prefix_byte(FrameType::kComment, order_),
+                     {c.text()});
   }
 
   void visit(const PINode& pi) override {
-    const std::size_t body =
-        string_field_size(pi.target()) + string_field_size(pi.data());
     count_frame(FrameType::kPI);
-    w_.put_u8(make_prefix_byte(FrameType::kPI, order_));
-    w_.put_vls(body);
-    w_.put_string(pi.target());
-    w_.put_string(pi.data());
+    put_string_frame(w_, make_prefix_byte(FrameType::kPI, order_),
+                     {pi.target(), pi.data()});
   }
 
  private:
@@ -152,58 +135,9 @@ class Encoder final : public NodeVisitor {
     std::size_t size_pos_ = 0;
   };
 
-  void put_string_frame(FrameType type, const std::string& s) {
-    count_frame(type);
-    w_.put_u8(make_prefix_byte(type, order_));
-    w_.put_vls(string_field_size(s));
-    w_.put_string(s);
-  }
-
-  /// Resolve `q` against the scope stack; the innermost scope is
-  /// `own_table` (this frame's symbol table, still being built). Prefers an
-  /// entry with a matching prefix so prefixes survive round trips; appends
-  /// an auto-declaration to own_table when the URI is unknown.
-  NsRef resolve(const QName& q, std::vector<NamespaceDecl>& own_table) {
-    if (q.namespace_uri.empty()) return {};
-
-    auto search = [&](bool exact) -> std::optional<NsRef> {
-      auto match = [&](const NamespaceDecl& d) {
-        return d.uri == q.namespace_uri && (!exact || d.prefix == q.prefix);
-      };
-      for (std::size_t i = 0; i < own_table.size(); ++i) {
-        if (match(own_table[i])) return NsRef{1, i};
-      }
-      for (std::size_t up = 0; up < ns_stack_.size(); ++up) {
-        const auto& table = ns_stack_[ns_stack_.size() - 1 - up];
-        for (std::size_t i = 0; i < table.size(); ++i) {
-          if (match(table[i])) return NsRef{up + 2, i};
-        }
-      }
-      return std::nullopt;
-    };
-
-    if (auto r = search(/*exact=*/true)) {
-      count_symtab(/*hit=*/true);
-      return *r;
-    }
-    if (auto r = search(/*exact=*/false)) {
-      count_symtab(/*hit=*/true);
-      return *r;
-    }
-    count_symtab(/*hit=*/false);
-    own_table.push_back({q.prefix, q.namespace_uri});
-    return {1, own_table.size() - 1};
-  }
-
-  HeaderPlan plan_header(const ElementBase& e) {
-    HeaderPlan plan;
-    plan.table = e.namespaces();
-    plan.name_ref = resolve(e.name(), plan.table);
-    plan.attr_refs.reserve(e.attributes().size());
-    for (const auto& a : e.attributes()) {
-      plan.attr_refs.push_back(resolve(a.name, plan.table));
-    }
-    return plan;
+  HeaderPlan plan(const ElementBase& e) {
+    return plan_header(e.name(), e.namespaces(), e.attributes(), ns_stack_,
+                       stats_);
   }
 
   std::size_t header_size(const ElementBase& e, const HeaderPlan& plan) {
@@ -219,48 +153,6 @@ class Encoder final : public NodeVisitor {
            scalar_value_size(a.value);
     }
     return n;
-  }
-
-  /// Write the planned header and push the frame's symbol table (the
-  /// caller pops it when the frame's scope ends).
-  void emit_header(const ElementBase& e, const HeaderPlan& plan) {
-    w_.put_vls(plan.table.size());
-    for (const auto& d : plan.table) {
-      w_.put_string(d.prefix);
-      w_.put_string(d.uri);
-    }
-    ns_stack_.push_back(plan.table);
-
-    put_qname_ref(plan.name_ref, e.name().local);
-
-    w_.put_vls(e.attributes().size());
-    for (std::size_t i = 0; i < e.attributes().size(); ++i) {
-      const Attribute& a = e.attributes()[i];
-      put_qname_ref(plan.attr_refs[i], a.name.local);
-      w_.put_u8(static_cast<std::uint8_t>(a.type()));
-      put_scalar(a.value);
-    }
-  }
-
-  void put_qname_ref(const NsRef& ref, const std::string& local) {
-    w_.put_vls(ref.depth);
-    if (ref.depth != 0) w_.put_vls(ref.index);
-    w_.put_string(local);
-  }
-
-  void put_scalar(const ScalarValue& v) {
-    std::visit(
-        [this](const auto& x) {
-          using T = std::decay_t<decltype(x)>;
-          if constexpr (std::is_same_v<T, std::string>) {
-            w_.put_string(x);
-          } else if constexpr (std::is_same_v<T, bool>) {
-            w_.put_u8(x ? 1 : 0);
-          } else {
-            w_.put_unaligned(x);
-          }
-        },
-        v);
   }
 
   /// Array payload: aligned, packed, in the frame's byte order.
@@ -315,19 +207,101 @@ class Encoder final : public NodeVisitor {
     }
   }
 
-  void count_symtab(bool hit) {
-    if (stats_ != nullptr) {
-      (hit ? stats_->symtab_hits : stats_->symtab_auto_decls).add();
-    }
-  }
-
   ByteOrder order_;
   xbs::Writer w_;
-  std::vector<std::vector<NamespaceDecl>> ns_stack_;
+  NsStack ns_stack_;
   obs::CodecStats* stats_;
 };
 
+NsRef resolve(const QName& q, std::vector<NamespaceDecl>& own_table,
+              const NsStack& stack, obs::CodecStats* stats) {
+  if (q.namespace_uri.empty()) return {};
+  auto search = [&](bool exact) -> std::optional<NsRef> {
+    auto match = [&](const NamespaceDecl& d) {
+      return d.uri == q.namespace_uri && (!exact || d.prefix == q.prefix);
+    };
+    for (std::size_t i = 0; i < own_table.size(); ++i) {
+      if (match(own_table[i])) return NsRef{1, i};
+    }
+    for (std::size_t up = 0; up < stack.size(); ++up) {
+      const auto& table = stack[stack.size() - 1 - up];
+      for (std::size_t i = 0; i < table.size(); ++i) {
+        if (match(table[i])) return NsRef{up + 2, i};
+      }
+    }
+    return std::nullopt;
+  };
+  std::optional<NsRef> found = search(/*exact=*/true);
+  if (!found) found = search(/*exact=*/false);
+  if (stats != nullptr) {
+    (found ? stats->symtab_hits : stats->symtab_auto_decls).add();
+  }
+  if (found) return *found;
+  own_table.push_back({q.prefix, q.namespace_uri});
+  return {1, own_table.size() - 1};
+}
+
+void put_qname_ref(xbs::Writer& w, const NsRef& ref, const std::string& local) {
+  w.put_vls(ref.depth);
+  if (ref.depth != 0) w.put_vls(ref.index);
+  w.put_string(local);
+}
+
 }  // namespace
+
+HeaderPlan plan_header(const QName& name, std::span<const NamespaceDecl> decls,
+                       std::span<const Attribute> attrs, const NsStack& stack,
+                       obs::CodecStats* stats) {
+  HeaderPlan plan;
+  plan.table.assign(decls.begin(), decls.end());
+  plan.name_ref = resolve(name, plan.table, stack, stats);
+  plan.attr_refs.reserve(attrs.size());
+  for (const auto& a : attrs) {
+    plan.attr_refs.push_back(resolve(a.name, plan.table, stack, stats));
+  }
+  return plan;
+}
+
+void put_header(xbs::Writer& w, HeaderPlan&& plan, const QName& name,
+                std::span<const Attribute> attrs, NsStack& stack) {
+  w.put_vls(plan.table.size());
+  for (const auto& d : plan.table) {
+    w.put_string(d.prefix);
+    w.put_string(d.uri);
+  }
+  stack.push_back(std::move(plan.table));
+  put_qname_ref(w, plan.name_ref, name.local);
+  w.put_vls(attrs.size());
+  for (std::size_t i = 0; i < attrs.size(); ++i) {
+    put_qname_ref(w, plan.attr_refs[i], attrs[i].name.local);
+    w.put_u8(static_cast<std::uint8_t>(attrs[i].type()));
+    put_scalar(w, attrs[i].value);
+  }
+}
+
+void put_scalar(xbs::Writer& w, const ScalarValue& v) {
+  std::visit(
+      [&w](const auto& x) {
+        using T = std::decay_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          w.put_string(x);
+        } else if constexpr (std::is_same_v<T, bool>) {
+          w.put_u8(x ? 1 : 0);
+        } else {
+          w.put_unaligned(x);
+        }
+      },
+      v);
+}
+
+void put_string_frame(xbs::Writer& w, std::uint8_t prefix_byte,
+                      std::initializer_list<std::string_view> fields) {
+  std::size_t body = 0;
+  for (const std::string_view f : fields) body += string_field_size(f);
+  w.put_u8(prefix_byte);
+  w.put_vls(body);
+  for (const std::string_view f : fields) w.put_string(f);
+}
 
 std::vector<std::uint8_t> encode(const Node& node, const EncodeOptions& opt) {
   Encoder enc(opt.order, opt.stats);

@@ -1,7 +1,5 @@
 #include "bxsa/scanner.hpp"
 
-#include "xbs/xbs.hpp"
-
 namespace bxsoap::bxsa {
 
 namespace {
@@ -11,46 +9,19 @@ bool is_element_frame(FrameType t) {
          t == FrameType::kArrayElement;
 }
 
-/// Skip a QNameRef without materializing the local name (a string_view read
-/// costs no allocation; most scans discard the name anyway).
-std::string_view skip_qname_ref(xbs::Reader& r) {
-  const std::uint64_t depth = r.get_vls();
-  if (depth != 0) r.get_vls();  // ns index
-  return r.get_string_view();
-}
-
-/// Skip a typed value given its atom code.
-void skip_value(xbs::Reader& r, std::uint8_t code) {
-  using xdm::AtomType;
-  if (code > static_cast<std::uint8_t>(AtomType::kBool)) {
-    throw DecodeError("unknown atom type code in frame header");
-  }
-  const auto t = static_cast<AtomType>(code);
-  if (t == AtomType::kString) {
-    const std::uint64_t n = r.get_vls();
-    r.skip(static_cast<std::size_t>(n));
-  } else {
-    r.skip(xdm::atom_wire_size(t));
-  }
-}
+/// Skip mode: the header is parsed but nothing is resolved or kept, except
+/// the element's local name when asked for.
+struct NameOnly : HeaderSink {
+  std::string_view local;
+  void name(const QNameRef& q) { local = q.local; }
+};
 
 }  // namespace
 
 FrameInfo FrameScanner::frame_at(std::size_t offset) const {
-  xbs::Reader r(bytes_);
-  r.seek(offset);
-  const FramePrefix p = parse_prefix_byte(r.get_u8());
-  const std::uint64_t body = r.get_vls();
-  if (body > r.remaining()) {
-    throw DecodeError("frame size exceeds buffer");
-  }
-  FrameInfo f;
-  f.type = p.type;
-  f.order = p.order;
-  f.frame_offset = offset;
-  f.body_offset = r.offset();
-  f.body_size = static_cast<std::size_t>(body);
-  return f;
+  Cursor c(bytes_);
+  c.seek(offset);
+  return c.open();
 }
 
 std::optional<FrameInfo> FrameScanner::next(const FrameInfo& f,
@@ -60,51 +31,36 @@ std::optional<FrameInfo> FrameScanner::next(const FrameInfo& f,
   return frame_at(pos);
 }
 
-std::size_t FrameScanner::skip_header(const FrameInfo& f) const {
+Cursor FrameScanner::past_header(const FrameInfo& f) const {
   if (!is_element_frame(f.type)) {
     throw DecodeError("frame has no element header");
   }
-  xbs::Reader r(bytes_);
-  r.seek(f.body_offset);
-  const std::uint64_t n1 = r.get_vls();
-  for (std::uint64_t i = 0; i < n1; ++i) {
-    r.skip(static_cast<std::size_t>(r.get_vls()));  // prefix
-    r.skip(static_cast<std::size_t>(r.get_vls()));  // uri
+  Cursor c(bytes_);
+  c.seek(f.body_offset);
+  HeaderSink skip;
+  c.header(skip);
+  return c;
+}
+
+Cursor FrameScanner::at_children(const FrameInfo& parent) const {
+  if (parent.type == FrameType::kComponentElement) return past_header(parent);
+  if (parent.type != FrameType::kDocument) {
+    throw DecodeError("frame type has no child frames");
   }
-  skip_qname_ref(r);
-  const std::uint64_t n2 = r.get_vls();
-  for (std::uint64_t i = 0; i < n2; ++i) {
-    skip_qname_ref(r);
-    skip_value(r, r.get_u8());
-  }
-  return r.offset();
+  Cursor c(bytes_);
+  c.seek(parent.body_offset);
+  return c;
 }
 
 std::size_t FrameScanner::child_count(const FrameInfo& parent) const {
-  xbs::Reader r(bytes_);
-  if (parent.type == FrameType::kDocument) {
-    r.seek(parent.body_offset);
-  } else if (parent.type == FrameType::kComponentElement) {
-    r.seek(skip_header(parent));
-  } else {
-    throw DecodeError("frame type has no child frames");
-  }
-  return static_cast<std::size_t>(r.get_vls());
+  return static_cast<std::size_t>(at_children(parent).child_count());
 }
 
 std::optional<FrameInfo> FrameScanner::first_child(
     const FrameInfo& parent) const {
-  xbs::Reader r(bytes_);
-  if (parent.type == FrameType::kDocument) {
-    r.seek(parent.body_offset);
-  } else if (parent.type == FrameType::kComponentElement) {
-    r.seek(skip_header(parent));
-  } else {
-    throw DecodeError("frame type has no child frames");
-  }
-  const std::uint64_t n = r.get_vls();
-  if (n == 0) return std::nullopt;
-  return frame_at(r.offset());
+  Cursor c = at_children(parent);
+  if (c.child_count() == 0) return std::nullopt;
+  return c.open();
 }
 
 std::optional<FrameInfo> FrameScanner::child(const FrameInfo& parent,
@@ -120,42 +76,19 @@ std::string FrameScanner::element_local_name(const FrameInfo& f) const {
   if (!is_element_frame(f.type)) {
     throw DecodeError("frame is not an element frame");
   }
-  xbs::Reader r(bytes_);
-  r.seek(f.body_offset);
-  const std::uint64_t n1 = r.get_vls();
-  for (std::uint64_t i = 0; i < n1; ++i) {
-    r.skip(static_cast<std::size_t>(r.get_vls()));
-    r.skip(static_cast<std::size_t>(r.get_vls()));
-  }
-  return std::string(skip_qname_ref(r));
+  Cursor c(bytes_);
+  c.seek(f.body_offset);
+  NameOnly sink;
+  c.header(sink);
+  return std::string(sink.local);
 }
 
 FrameScanner::ArrayView FrameScanner::array_view(const FrameInfo& f) const {
   if (f.type != FrameType::kArrayElement) {
     throw DecodeError("frame is not an ArrayElement frame");
   }
-  xbs::Reader r(bytes_);
-  r.seek(skip_header(f));
-  const std::uint8_t code = r.get_u8();
-  if (code > static_cast<std::uint8_t>(xdm::AtomType::kBool)) {
-    throw DecodeError("unknown array item type code");
-  }
-  const auto t = static_cast<xdm::AtomType>(code);
-  const std::size_t item = xdm::atom_wire_size(t);
-  if (item == 0) throw DecodeError("array frame with variable-width items");
-  r.skip(static_cast<std::size_t>(r.get_vls()));  // item name
-  const std::size_t count = static_cast<std::size_t>(r.get_vls());
-  r.align_to(item);
-  // Divide, don't multiply: count * item can wrap size_t on a hostile
-  // count and defeat get_raw's own bounds check.
-  if (count > r.remaining() / item) {
-    throw DecodeError("array count exceeds remaining input");
-  }
-  ArrayView view;
-  view.type = t;
-  view.count = count;
-  view.payload = r.get_raw(count * item);
-  return view;
+  const ArrayTail tail = past_header(f).array_tail();
+  return {tail.type, tail.count, tail.payload};
 }
 
 }  // namespace bxsoap::bxsa

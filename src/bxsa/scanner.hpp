@@ -12,20 +12,10 @@
 #include <span>
 #include <string>
 
-#include "bxsa/frame.hpp"
+#include "bxsa/cursor.hpp"
 #include "xdm/atom.hpp"
 
 namespace bxsoap::bxsa {
-
-/// Location and shape of one frame within a BXSA buffer.
-struct FrameInfo {
-  FrameType type;
-  ByteOrder order;
-  std::size_t frame_offset = 0;  // offset of the prefix byte
-  std::size_t body_offset = 0;   // offset just past the Size field
-  std::size_t body_size = 0;
-  std::size_t end() const { return body_offset + body_size; }
-};
 
 /// Non-owning scanner; the buffer must outlive it. All offsets are relative
 /// to the start of the buffer (the document's alignment origin).
@@ -65,8 +55,10 @@ class FrameScanner {
   ArrayView array_view(const FrameInfo& f) const;
 
  private:
-  /// Skip an element header, returning the offset just past it.
-  std::size_t skip_header(const FrameInfo& f) const;
+  /// A cursor just past the header of element frame `f`.
+  Cursor past_header(const FrameInfo& f) const;
+  /// A cursor at the child count of Document/ComponentElement `parent`.
+  Cursor at_children(const FrameInfo& parent) const;
 
   std::span<const std::uint8_t> bytes_;
 };

@@ -1,189 +1,96 @@
 #include "bxsa/stream_reader.hpp"
 
-#include "bxsa/frame.hpp"
-
 namespace bxsoap::bxsa {
 
 using namespace bxsoap::xdm;
 
-namespace {
-// Matches the tree decoder's kMaxFrameDepth: deep enough for any real
-// document, shallow enough that a nesting bomb cannot grow the scope
-// stack without bound.
-constexpr std::size_t kMaxStreamDepth = 1024;
-}  // namespace
-
-StreamReader::StreamReader(std::span<const std::uint8_t> bytes) : r_(bytes) {}
-
-void StreamReader::push_scope(Scope scope) {
-  if (scopes_.size() >= kMaxStreamDepth) {
-    throw DecodeError("stream: nesting exceeds the depth limit of " +
-                      std::to_string(kMaxStreamDepth));
-  }
-  scopes_.push_back(scope);
-}
-
-QName StreamReader::read_qname_ref() {
-  const std::uint64_t depth = r_.get_vls();
-  if (depth == 0) {
-    return QName(r_.get_string());
-  }
-  const std::uint64_t index = r_.get_vls();
-  if (depth > ns_stack_.size()) {
-    throw DecodeError("stream: namespace scope depth out of range");
-  }
-  const auto& table = ns_stack_[ns_stack_.size() - depth];
-  if (index >= table.size()) {
-    throw DecodeError("stream: namespace index out of range");
-  }
-  return QName(table[index].uri, r_.get_string(), table[index].prefix);
-}
+StreamReader::StreamReader(std::span<const std::uint8_t> bytes) : c_(bytes) {}
 
 namespace {
 
-ScalarValue read_stream_scalar(xbs::Reader& r, AtomType t, ByteOrder order) {
-  switch (t) {
-    case AtomType::kString:
-      return r.get_string();
-    case AtomType::kInt8:
-      return r.get_unaligned<std::int8_t>(order);
-    case AtomType::kUInt8:
-      return r.get_unaligned<std::uint8_t>(order);
-    case AtomType::kInt16:
-      return r.get_unaligned<std::int16_t>(order);
-    case AtomType::kUInt16:
-      return r.get_unaligned<std::uint16_t>(order);
-    case AtomType::kInt32:
-      return r.get_unaligned<std::int32_t>(order);
-    case AtomType::kUInt32:
-      return r.get_unaligned<std::uint32_t>(order);
-    case AtomType::kInt64:
-      return r.get_unaligned<std::int64_t>(order);
-    case AtomType::kUInt64:
-      return r.get_unaligned<std::uint64_t>(order);
-    case AtomType::kFloat32:
-      return r.get_unaligned<float>(order);
-    case AtomType::kFloat64:
-      return r.get_unaligned<double>(order);
-    case AtomType::kBool: {
-      const std::uint8_t b = r.get_u8();
-      if (b > 1) throw DecodeError("stream: bad boolean byte");
-      return b == 1;
-    }
-  }
-  throw DecodeError("stream: unknown atom type");
-}
+/// Copies the header into the event, resolving names as they come.
+struct EventHeader : HeaderSink {
+  StreamEvent& ev;
+  NsScopes& scopes;
+  ByteOrder order;
 
-AtomType read_stream_atom_code(xbs::Reader& r) {
-  const std::uint8_t code = r.get_u8();
-  if (code > static_cast<std::uint8_t>(AtomType::kBool)) {
-    throw DecodeError("stream: unknown atom type code");
+  void decl_count(std::uint64_t n) {
+    ev.namespaces.reserve(static_cast<std::size_t>(n));
   }
-  return static_cast<AtomType>(code);
-}
+  void decl(const NsView& d) {
+    ev.namespaces.push_back({std::string(d.prefix), std::string(d.uri)});
+    scopes.declare(d);
+  }
+  void name(const QNameRef& q) { ev.name = scopes.qname(q); }
+  void attr_count(std::uint64_t n) {
+    ev.attributes.reserve(static_cast<std::size_t>(n));
+  }
+  void attr(const QNameRef& q, const RawValue& v) {
+    ev.attributes.emplace_back(scopes.qname(q), to_scalar(v, order));
+  }
+};
 
 }  // namespace
 
 void StreamReader::read_element_header(StreamEvent& ev, ByteOrder order) {
-  const std::uint64_t n1 = r_.get_vls();
-  // Counts come off the wire: reject any that the remaining bytes cannot
-  // possibly back (a declaration is >= 2 bytes, an attribute >= 3) BEFORE
-  // they size an allocation.
-  if (n1 > r_.remaining() / 2) {
-    throw DecodeError("stream: namespace decl count exceeds remaining input");
-  }
-  std::vector<NamespaceDecl> table;
-  table.reserve(static_cast<std::size_t>(n1));
-  for (std::uint64_t i = 0; i < n1; ++i) {
-    std::string prefix = r_.get_string();
-    std::string uri = r_.get_string();
-    table.push_back({std::move(prefix), std::move(uri)});
-  }
-  ev.namespaces = table;
-  ns_stack_.push_back(std::move(table));
-
-  ev.name = read_qname_ref();
-
-  const std::uint64_t n2 = r_.get_vls();
-  if (n2 > r_.remaining() / 3) {
-    throw DecodeError("stream: attribute count exceeds remaining input");
-  }
-  ev.attributes.reserve(static_cast<std::size_t>(n2));
-  for (std::uint64_t i = 0; i < n2; ++i) {
-    QName name = read_qname_ref();
-    const AtomType t = read_stream_atom_code(r_);
-    ev.attributes.emplace_back(std::move(name),
-                               read_stream_scalar(r_, t, order));
-  }
+  ns_.push();
+  EventHeader sink{{}, ev, ns_, order};
+  c_.header(sink);
 }
 
 StreamEvent StreamReader::read_frame() {
-  const FramePrefix prefix = parse_prefix_byte(r_.get_u8());
-  const std::uint64_t body = r_.get_vls();
-  if (body > r_.remaining()) {
-    throw DecodeError("stream: frame size exceeds input");
-  }
-  const std::size_t end = r_.offset() + static_cast<std::size_t>(body);
-
+  const FrameInfo f = c_.open();
   StreamEvent ev;
-  switch (prefix.type) {
-    case FrameType::kDocument: {
+  switch (f.type) {
+    case FrameType::kDocument:
       ev.kind = EventKind::kStartDocument;
-      const std::uint64_t n = r_.get_vls();
-      push_scope({n, /*is_document=*/true, end});
+      scopes_.push_back({c_.child_count(), f});
       return ev;
-    }
-    case FrameType::kComponentElement: {
+    case FrameType::kComponentElement:
       ev.kind = EventKind::kStartElement;
-      read_element_header(ev, prefix.order);
-      const std::uint64_t n = r_.get_vls();
-      push_scope({n, /*is_document=*/false, end});
+      read_element_header(ev, f.order);
+      scopes_.push_back({c_.child_count(), f});
       return ev;
-    }
     case FrameType::kLeafElement: {
       ev.kind = EventKind::kLeaf;
-      read_element_header(ev, prefix.order);
-      ev.atom = read_stream_atom_code(r_);
-      ev.value = read_stream_scalar(r_, ev.atom, prefix.order);
-      ns_stack_.pop_back();
+      read_element_header(ev, f.order);
+      const RawValue v = c_.value();
+      ev.atom = v.type;
+      ev.value = to_scalar(v, f.order);
+      ns_.pop();
       break;
     }
     case FrameType::kArrayElement: {
       ev.kind = EventKind::kArray;
-      read_element_header(ev, prefix.order);
-      ev.array.type = read_stream_atom_code(r_);
-      const std::size_t item = atom_wire_size(ev.array.type);
-      if (item == 0) throw DecodeError("stream: non-packed array type");
-      ev.array.item_name = r_.get_string();
-      ev.array.count = static_cast<std::size_t>(r_.get_vls());
-      ev.array.order = prefix.order;
-      r_.align_to(item);
-      // Divide, don't multiply: count * item can wrap size_t on a hostile
-      // count and defeat get_raw's own bounds check.
-      if (ev.array.count > r_.remaining() / item) {
-        throw DecodeError("stream: array count exceeds remaining input");
+      read_element_header(ev, f.order);
+      const ArrayTail tail = c_.array_tail();
+      // Same rule as the tree decoder: bool items have no packed model.
+      if (tail.type == AtomType::kBool) {
+        throw DecodeError("stream: array frame with non-packed item type");
       }
-      ev.array.payload = r_.get_raw(ev.array.count * item);
-      ns_stack_.pop_back();
+      ev.array.type = tail.type;
+      ev.array.item_name = std::string(tail.item_name);
+      ev.array.count = tail.count;
+      ev.array.payload = tail.payload;
+      ev.array.order = f.order;
+      ns_.pop();
       break;
     }
     case FrameType::kCharacterData:
       ev.kind = EventKind::kText;
-      ev.text = r_.get_string();
+      ev.text = c_.string();
       break;
     case FrameType::kComment:
       ev.kind = EventKind::kComment;
-      ev.text = r_.get_string();
+      ev.text = c_.string();
       break;
     case FrameType::kPI:
       ev.kind = EventKind::kPI;
-      ev.pi_target = r_.get_string();
-      ev.text = r_.get_string();
+      ev.pi_target = c_.string();
+      ev.text = c_.string();
       break;
   }
-  if (r_.offset() != end) {
-    throw DecodeError("stream: frame body not fully consumed");
-  }
+  c_.close(f);
   return ev;
 }
 
@@ -194,19 +101,17 @@ std::optional<StreamEvent> StreamReader::next() {
   if (started_ && !scopes_.empty() && scopes_.back().remaining_children == 0) {
     const Scope scope = scopes_.back();
     scopes_.pop_back();
-    if (r_.offset() != scope.end_offset) {
-      throw DecodeError("stream: element frame has trailing bytes");
-    }
+    c_.close(scope.frame);
     StreamEvent ev;
-    if (scope.is_document) {
+    if (scope.frame.type == FrameType::kDocument) {
       ev.kind = EventKind::kEndDocument;
     } else {
       ev.kind = EventKind::kEndElement;
-      ns_stack_.pop_back();
+      ns_.pop();
     }
     if (scopes_.empty()) {
       finished_ = true;
-      if (!r_.at_end()) {
+      if (!c_.at_end()) {
         throw DecodeError("stream: trailing bytes after top-level frame");
       }
     } else {
@@ -228,7 +133,7 @@ std::optional<StreamEvent> StreamReader::next() {
     if (scopes_.empty()) {
       // A single leaf/array/text top-level frame is the whole stream.
       finished_ = true;
-      if (!r_.at_end()) {
+      if (!c_.at_end()) {
         throw DecodeError("stream: trailing bytes after top-level frame");
       }
     } else {
@@ -242,15 +147,10 @@ void StreamReader::skip_children() {
   if (scopes_.empty()) {
     throw DecodeError("stream: skip_children with no open element");
   }
+  // Each child frame is stepped over with one prefix+size read.
   Scope& scope = scopes_.back();
-  // Each child frame can be skipped with one prefix+size read.
   while (scope.remaining_children > 0) {
-    parse_prefix_byte(r_.get_u8());
-    const std::uint64_t body = r_.get_vls();
-    if (body > r_.remaining()) {
-      throw DecodeError("stream: frame size exceeds input");
-    }
-    r_.skip(static_cast<std::size_t>(body));
+    c_.skip_frame();
     --scope.remaining_children;
   }
 }

@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "bxsa/cursor.hpp"
 #include "common/endian.hpp"
-#include "xbs/xbs.hpp"
 #include "xdm/node.hpp"
 
 namespace bxsoap::bxsa {
@@ -101,18 +101,15 @@ class StreamReader {
  private:
   struct Scope {
     std::uint64_t remaining_children;
-    bool is_document;
-    std::size_t end_offset;
+    FrameInfo frame;  // a Document or ComponentElement frame
   };
 
   StreamEvent read_frame();
   void read_element_header(StreamEvent& ev, ByteOrder order);
-  xdm::QName read_qname_ref();
-  void push_scope(Scope scope);
 
-  xbs::Reader r_;
+  Cursor c_;
   std::vector<Scope> scopes_;
-  std::vector<std::vector<xdm::NamespaceDecl>> ns_stack_;
+  NsScopes ns_;
   bool started_ = false;
   bool finished_ = false;
 };

@@ -1,49 +1,13 @@
 #include "bxsa/stream_writer.hpp"
 
 #include <cstring>
-#include <optional>
 
 #include "bxsa/frame.hpp"
+#include "bxsa/header_writer.hpp"
 
 namespace bxsoap::bxsa {
 
 using namespace bxsoap::xdm;
-
-namespace {
-
-struct NsRef {
-  std::uint64_t depth = 0;
-  std::uint64_t index = 0;
-};
-
-/// Same resolution rules as the tree encoder: innermost scope first,
-/// prefix-exact matches preferred, unknown URIs auto-declared into the
-/// frame's own table.
-NsRef resolve(const QName& q, std::vector<NamespaceDecl>& own_table,
-              const std::vector<std::vector<NamespaceDecl>>& stack) {
-  if (q.namespace_uri.empty()) return {};
-  auto search = [&](bool exact) -> std::optional<NsRef> {
-    auto match = [&](const NamespaceDecl& d) {
-      return d.uri == q.namespace_uri && (!exact || d.prefix == q.prefix);
-    };
-    for (std::size_t i = 0; i < own_table.size(); ++i) {
-      if (match(own_table[i])) return NsRef{1, i};
-    }
-    for (std::size_t up = 0; up < stack.size(); ++up) {
-      const auto& table = stack[stack.size() - 1 - up];
-      for (std::size_t i = 0; i < table.size(); ++i) {
-        if (match(table[i])) return NsRef{up + 2, i};
-      }
-    }
-    return std::nullopt;
-  };
-  if (auto r = search(true)) return *r;
-  if (auto r = search(false)) return *r;
-  own_table.push_back({q.prefix, q.namespace_uri});
-  return {1, own_table.size() - 1};
-}
-
-}  // namespace
 
 StreamWriter::StreamWriter(ByteOrder order) : order_(order), w_(order) {}
 
@@ -107,15 +71,18 @@ void StreamWriter::begin_backpatched(std::uint8_t prefix_byte) {
 void StreamWriter::end_backpatched() {
   const OpenFrame f = open_.back();
   open_.pop_back();
-
   std::uint8_t buf[kSizeFieldWidth];
-  // Child count was reserved at fixed width; patch it now.
-  vls_encode_padded(f.child_count, kSizeFieldWidth, buf);
-  patch_field(f.count_pos, buf);
-  // Then the frame size.
-  const std::uint64_t body = w_.offset() - f.size_pos - kSizeFieldWidth;
-  vls_encode_padded(body, kSizeFieldWidth, buf);
+  vls_encode_padded(w_.offset() - f.size_pos - kSizeFieldWidth,
+                    kSizeFieldWidth, buf);
   patch_field(f.size_pos, buf);
+}
+
+void StreamWriter::end_scope() {
+  // The child count was reserved at fixed width too; patch it first.
+  std::uint8_t buf[kSizeFieldWidth];
+  vls_encode_padded(open_.back().child_count, kSizeFieldWidth, buf);
+  patch_field(open_.back().count_pos, buf);
+  end_backpatched();
 }
 
 void StreamWriter::note_child() {
@@ -141,7 +108,7 @@ void StreamWriter::end_document() {
   if (open_.empty() || !open_.back().is_document) {
     throw EncodeError("end_document without a matching start_document");
   }
-  end_backpatched();
+  end_scope();
   done_ = true;
   if (chunked()) flush_chunk();
 }
@@ -149,46 +116,8 @@ void StreamWriter::end_document() {
 void StreamWriter::write_header(const QName& name,
                                 std::span<const NamespaceDecl> namespaces,
                                 std::span<const Attribute> attributes) {
-  std::vector<NamespaceDecl> table(namespaces.begin(), namespaces.end());
-  const NsRef name_ref = resolve(name, table, ns_stack_);
-  std::vector<NsRef> attr_refs;
-  attr_refs.reserve(attributes.size());
-  for (const auto& a : attributes) {
-    attr_refs.push_back(resolve(a.name, table, ns_stack_));
-  }
-
-  w_.put_vls(table.size());
-  for (const auto& d : table) {
-    w_.put_string(d.prefix);
-    w_.put_string(d.uri);
-  }
-  ns_stack_.push_back(std::move(table));
-
-  auto put_ref = [this](const NsRef& ref, const std::string& local) {
-    w_.put_vls(ref.depth);
-    if (ref.depth != 0) w_.put_vls(ref.index);
-    w_.put_string(local);
-  };
-  put_ref(name_ref, name.local);
-
-  w_.put_vls(attributes.size());
-  for (std::size_t i = 0; i < attributes.size(); ++i) {
-    const Attribute& a = attributes[i];
-    put_ref(attr_refs[i], a.name.local);
-    w_.put_u8(static_cast<std::uint8_t>(a.type()));
-    std::visit(
-        [this](const auto& x) {
-          using T = std::decay_t<decltype(x)>;
-          if constexpr (std::is_same_v<T, std::string>) {
-            w_.put_string(x);
-          } else if constexpr (std::is_same_v<T, bool>) {
-            w_.put_u8(x ? 1 : 0);
-          } else {
-            w_.put_unaligned(x);
-          }
-        },
-        a.value);
-  }
+  put_header(w_, plan_header(name, namespaces, attributes, ns_stack_, nullptr),
+             name, attributes, ns_stack_);
 }
 
 void StreamWriter::start_element(const QName& name,
@@ -208,7 +137,7 @@ void StreamWriter::end_element() {
   if (open_.empty() || open_.back().is_document) {
     throw EncodeError("end_element without a matching start_element");
   }
-  end_backpatched();
+  end_scope();
   ns_stack_.pop_back();
   maybe_flush();
 }
@@ -223,27 +152,9 @@ void StreamWriter::leaf_impl(const QName& name, const ScalarValue& value,
   begin_backpatched(make_prefix_byte(FrameType::kLeafElement, order_));
   write_header(name, namespaces, attributes);
   w_.put_u8(static_cast<std::uint8_t>(scalar_type(value)));
-  std::visit(
-      [this](const auto& x) {
-        using T = std::decay_t<decltype(x)>;
-        if constexpr (std::is_same_v<T, std::string>) {
-          w_.put_string(x);
-        } else if constexpr (std::is_same_v<T, bool>) {
-          w_.put_u8(x ? 1 : 0);
-        } else {
-          w_.put_unaligned(x);
-        }
-      },
-      value);
+  put_scalar(w_, value);
   ns_stack_.pop_back();
-  // Leaf frames have no child-count field: point count_pos at the size
-  // field patch trick is not needed; emulate end_backpatched manually.
-  const OpenFrame f = open_.back();
-  open_.pop_back();
-  std::uint8_t buf[kSizeFieldWidth];
-  const std::uint64_t body = w_.offset() - f.size_pos - kSizeFieldWidth;
-  vls_encode_padded(body, kSizeFieldWidth, buf);
-  patch_field(f.size_pos, buf);
+  end_backpatched();
   maybe_flush();
 }
 
@@ -353,42 +264,31 @@ void StreamWriter::end_array() {
   }
   array_.active = false;
   ns_stack_.pop_back();
-
-  const OpenFrame f = open_.back();
-  open_.pop_back();
-  std::uint8_t buf[kSizeFieldWidth];
-  const std::uint64_t body = w_.offset() - f.size_pos - kSizeFieldWidth;
-  vls_encode_padded(body, kSizeFieldWidth, buf);
-  patch_field(f.size_pos, buf);
+  end_backpatched();
   maybe_flush();
 }
 
 void StreamWriter::text(std::string_view content) {
   require_open("text");
   note_child();
-  w_.put_u8(make_prefix_byte(FrameType::kCharacterData, order_));
-  w_.put_vls(vls_size(content.size()) + content.size());
-  w_.put_string(content);
+  put_string_frame(w_, make_prefix_byte(FrameType::kCharacterData, order_),
+                   {content});
   maybe_flush();
 }
 
 void StreamWriter::comment(std::string_view content) {
   require_open("comment");
   note_child();
-  w_.put_u8(make_prefix_byte(FrameType::kComment, order_));
-  w_.put_vls(vls_size(content.size()) + content.size());
-  w_.put_string(content);
+  put_string_frame(w_, make_prefix_byte(FrameType::kComment, order_),
+                   {content});
   maybe_flush();
 }
 
 void StreamWriter::pi(std::string_view target, std::string_view data) {
   require_open("pi");
   note_child();
-  w_.put_u8(make_prefix_byte(FrameType::kPI, order_));
-  w_.put_vls(vls_size(target.size()) + target.size() +
-             vls_size(data.size()) + data.size());
-  w_.put_string(target);
-  w_.put_string(data);
+  put_string_frame(w_, make_prefix_byte(FrameType::kPI, order_),
+                   {target, data});
   maybe_flush();
 }
 

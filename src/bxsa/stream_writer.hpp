@@ -162,7 +162,10 @@ class StreamWriter {
                     std::span<const xdm::Attribute> attributes);
 
   void begin_backpatched(std::uint8_t prefix_byte);
+  /// Patches the innermost open frame's Size and closes it.
   void end_backpatched();
+  /// end_backpatched() for a Document/ComponentElement: its child count too.
+  void end_scope();
   void note_child();
   void require_open(const char* what) const;
 

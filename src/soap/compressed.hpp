@@ -71,8 +71,7 @@ class CompressedEncoding {
   }
 
   // Unified-concept surface. Compression inherently re-buffers (the LZSS
-  // pass reads the whole serialization), so these are the copy semantics
-  // of LegacyEncodingAdapter, spelled out.
+  // pass reads the whole serialization), so these copy.
   void serialize_into(const xdm::Document& doc, ByteWriter& out) const {
     const std::vector<std::uint8_t> bytes = serialize(doc);
     out.write_bytes(bytes.data(), bytes.size());

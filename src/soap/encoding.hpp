@@ -5,13 +5,6 @@
 // time, compiler optimizations are not impacted, and inlining is still
 // enabled"). Two models ship by default, exactly as in the paper:
 // XmlEncoding (XML 1.0) and BxsaEncoding (binary XML).
-//
-// History note: PRs 1-4 grew three overlapping concepts (EncodingPolicy,
-// AppendSerializeEncoding, SharedDeserializeEncoding) plus per-engine
-// if-constexpr fallbacks. They are collapsed here into ONE surface —
-// append-serialize and shared-buffer deserialize, the forms every engine
-// actually runs — with LegacyEncodingAdapter lifting old whole-buffer
-// policies onto it.
 #pragma once
 
 #include <concepts>
@@ -48,44 +41,15 @@ concept Encoding = requires(const E e, const xdm::Document& d, ByteWriter& w,
   { e.deserialize_shared(wire) } -> std::same_as<xdm::DocumentPtr>;
 };
 
-/// The pre-unification surface: whole-buffer serialize()/deserialize().
-/// Kept only as the gate for LegacyEncodingAdapter; engines no longer
-/// accept it directly.
+/// The whole-buffer serialize()/deserialize() surface. Engines take only
+/// Encoding; this is the constraint of combinators that must see a whole
+/// serialization at once (CompressedEncoding's LZSS pass).
 template <typename E>
 concept LegacyEncoding = requires(const E e, const xdm::Document& d,
                                   std::span<const std::uint8_t> bytes) {
   { e.serialize(d) } -> std::same_as<std::vector<std::uint8_t>>;
   { e.deserialize(bytes) } -> std::same_as<xdm::DocumentPtr>;
   { E::content_type() } -> std::convertible_to<std::string_view>;
-};
-
-/// Default-adapter lifting a legacy whole-buffer policy onto the unified
-/// concept, with the historical copy semantics: serialize then append,
-/// deserialize without keeping views. Anything zero-copy needs native
-/// support in the policy; this is the compatibility shim.
-template <LegacyEncoding L>
-class LegacyEncodingAdapter {
- public:
-  static constexpr std::string_view content_type() {
-    return L::content_type();
-  }
-
-  explicit LegacyEncodingAdapter(L inner = {}) : inner_(std::move(inner)) {}
-
-  void serialize_into(const xdm::Document& doc, ByteWriter& out) const {
-    const std::vector<std::uint8_t> bytes = inner_.serialize(doc);
-    out.write_bytes(bytes.data(), bytes.size());
-  }
-
-  xdm::DocumentPtr deserialize_shared(const SharedBuffer& wire) const {
-    return inner_.deserialize(wire.bytes());
-  }
-
-  L& inner() noexcept { return inner_; }
-  const L& inner() const noexcept { return inner_; }
-
- private:
-  L inner_;
 };
 
 /// Encodings that can additionally emit a message as a bounded-memory
@@ -193,7 +157,6 @@ static_assert(Encoding<XmlEncoding>);
 static_assert(Encoding<BxsaEncoding>);
 static_assert(LegacyEncoding<XmlEncoding>);
 static_assert(LegacyEncoding<BxsaEncoding>);
-static_assert(Encoding<LegacyEncodingAdapter<XmlEncoding>>);
 static_assert(!StreamingEncoding<XmlEncoding>);
 static_assert(StreamingEncoding<BxsaEncoding>);
 

@@ -81,16 +81,20 @@ soap::WireMessage StripedChannel::receive() {
   if (std::memcmp(magic, kMessageMagic, sizeof(magic)) != 0) {
     throw TransportError("striped receive: bad message magic");
   }
-  // Content-type length VLS, byte by byte.
+  // Content-type length VLS: read byte by byte (nothing past it may be
+  // consumed), then decoded by the shared VLS rule.
+  std::uint8_t vls[kMaxVlsBytes];
+  std::size_t vls_len = 0;
+  do {
+    if (vls_len == kMaxVlsBytes) throw TransportError("striped: malformed VLS");
+    streams_[0].read_exact(&vls[vls_len], 1);
+  } while ((vls[vls_len++] & 0x80) != 0);
   std::uint64_t ct_len = 0;
-  int shift = 0;
-  for (std::size_t i = 0;; ++i) {
-    if (i >= kMaxVlsBytes) throw TransportError("striped: malformed VLS");
-    std::uint8_t b;
-    streams_[0].read_exact(&b, 1);
-    ct_len |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
+  try {
+    ByteReader r(vls, vls_len);
+    ct_len = vls_read(r);
+  } catch (const DecodeError& e) {
+    throw TransportError(std::string("striped: ") + e.what());
   }
   if (ct_len > 1024) throw TransportError("striped: content type too long");
   soap::WireMessage m;

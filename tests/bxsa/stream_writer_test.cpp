@@ -4,6 +4,7 @@
 
 #include "bxsa/decoder.hpp"
 #include "bxsa/encoder.hpp"
+#include "common/hex.hpp"
 #include "common/prng.hpp"
 #include "xdm/equal.hpp"
 
@@ -11,6 +12,52 @@ namespace bxsoap::bxsa {
 namespace {
 
 using namespace bxsoap::xdm;
+
+/// One writer per byte order over every event kind, with namespace
+/// resolution on each path: an exact prefix match, a URI-only match, an
+/// inherited declaration and an auto-declaration.
+std::string golden_stream(ByteOrder order) {
+  StreamWriter w(order);
+  const NamespaceDecl decls[] = {{"a", "urn:a"}, {"b", "urn:b"}};
+  const Attribute attrs[] = {{QName("urn:b", "id", "b"), std::int32_t{7}},
+                             {QName("urn:c", "s", "c"), std::string("v")},
+                             {QName("f"), true},
+                             {QName("x"), 2.5}};
+  const std::int16_t items[] = {1, -2, 3};
+  w.start_document();
+  w.start_element(QName("urn:a", "root", "a"), decls, attrs);
+  w.leaf(QName("urn:a", "n", "z"), std::uint16_t{513});
+  w.leaf(QName("urn:d", "t", "d"), std::string("txt"));
+  w.leaf(QName("ok"), false, {}, attrs);
+  w.array(QName("urn:b", "arr", "b"), std::span<const std::int16_t>(items),
+          "i");
+  w.text("hi");
+  w.comment("c");
+  w.pi("t", "d");
+  w.end_element();
+  w.end_document();
+  return to_hex(w.take());
+}
+
+TEST(StreamWriter, GoldenBytes) {
+  // Pins the streaming writer's bytes as golden_test pins the encoder's.
+  EXPECT_EQ(golden_stream(ByteOrder::kLittle),
+      "01d381808000818080800002c8818080000301610575726e3a6101620575726e"
+      "3a6201630575726e3a63010004726f6f74040101026964050700000001020173"
+      "0001760001660b010001780a0000000000000440878080800003898080800000"
+      "0200016e000401020393808080000101640575726e3a64010001740000037478"
+      "7403aa808080000000026f6b0402010269640507000000020201730001760001"
+      "660b010001780a00000000000004400b00049380808000000201036172720003"
+      "016903000100feff0300050302686907020163060401740164");
+  EXPECT_EQ(golden_stream(ByteOrder::kBig),
+      "41d381808000818080800042c8818080000301610575726e3a6101620575726e"
+      "3a6201630575726e3a63010004726f6f74040101026964050000000701020173"
+      "0001760001660b010001780a4004000000000000878080800043898080800000"
+      "0200016e000402014393808080000101640575726e3a64010001740000037478"
+      "7443aa808080000000026f6b0402010269640500000007020201730001760001"
+      "660b010001780a40040000000000000b00449380808000000201036172720003"
+      "016903000001fffe0003450302686947020163460401740164");
+}
 
 TEST(StreamWriter, ProducesDecodableDocument) {
   StreamWriter w;

@@ -1,23 +1,29 @@
-// Structure-aware mutation harness for the BXSA decoders.
+// Structure-aware mutation harness for the BXSA readers.
 //
 // Valid frame buffers are mutated under a seeded PRNG (bit flips,
 // truncations, splices, range fills) and pushed through every consumer of
-// untrusted bytes — the tree decoder, the pull StreamReader and the
-// FrameScanner. The contract under test: hostile input costs a DecodeError
-// (or TransportError at the framing layer), NEVER a crash, a hang or an
-// unbounded allocation. Run under the asan-ubsan preset (scripts/check.sh)
-// this is the repo's deterministic fuzz gate; every failure reproduces from
-// its seed.
+// untrusted bytes — the tree decoder, the pull StreamReader (and validate()
+// on top of it), the FrameScanner and the v3 dictionary transform. Two
+// contracts are under test:
+//   * hostile input costs a DecodeError (or TransportError at the framing
+//     layer), NEVER a crash, a hang or an unbounded allocation;
+//   * the readers agree: decode accepts exactly the mutants StreamReader
+//     drains and validate() passes, and every accepted mutant survives the
+//     dictionary round trip unchanged.
+// Run under the asan-ubsan preset (scripts/check.sh) this is the repo's
+// deterministic fuzz gate; every failure reproduces from its seed.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <vector>
 
 #include "bxsa/decoder.hpp"
+#include "bxsa/dict.hpp"
 #include "bxsa/encoder.hpp"
 #include "bxsa/frame.hpp"
 #include "bxsa/scanner.hpp"
 #include "bxsa/stream_reader.hpp"
+#include "bxsa/validate.hpp"
 #include "common/lzss.hpp"
 #include "common/prng.hpp"
 #include "support/mutate.hpp"
@@ -137,38 +143,109 @@ void walk_scanner(std::span<const std::uint8_t> bytes) {
   }
 }
 
+/// Plain -> dictionary-coded -> plain through a fresh mirrored table pair.
+std::vector<std::uint8_t> dict_round_trip(std::span<const std::uint8_t> in) {
+  SymbolDictionary enc_dict({});
+  SymbolDictionary dec_dict({});
+  ByteWriter coded;
+  dict_encode(in, enc_dict, coded);
+  ByteWriter plain;
+  dict_decode(coded.bytes(), dec_dict, plain);
+  return plain.take();
+}
+
+template <typename F>
+bool accepts(F&& reader) {
+  try {
+    reader();
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
 // ---- the harness -----------------------------------------------------------
 
 TEST(Mutation, EveryMutantYieldsTypedErrorOrDecodes) {
   const auto corpus = build_corpus();
   std::size_t decoded = 0;
   std::size_t rejected = 0;
-  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+  for (std::uint64_t seed = 0; seed < 5000; ++seed) {
     SplitMix64 rng(seed);
     const auto& original = corpus[static_cast<std::size_t>(
         rng.next_below(corpus.size()))];
     const auto mutant = mutate(original, rng);
     SCOPED_TRACE("seed " + std::to_string(seed));
 
-    try {
-      decode(mutant);
-      ++decoded;
-    } catch (const Error&) {
-      ++rejected;  // DecodeError (or kin): the contract
-    }
-    try {
-      drain_stream_reader(mutant);
-    } catch (const Error&) {
-    }
+    NodePtr tree;
+    const bool decode_ok = accepts([&] { tree = decode(mutant); });
+    const bool stream_ok = accepts([&] { drain_stream_reader(mutant); });
+    const bool valid = validate(mutant).valid;
+    EXPECT_EQ(decode_ok, stream_ok);
+    EXPECT_EQ(decode_ok, valid);
     try {
       walk_scanner(mutant);
     } catch (const Error&) {
     }
+
+    if (!decode_ok) {
+      ++rejected;  // DecodeError (or kin): the contract
+      // The transform accepts a superset (it resolves no QNameRef and checks
+      // no bool byte); it only has to fail typed.
+      try {
+        dict_round_trip(mutant);
+      } catch (const Error&) {
+      }
+      continue;
+    }
+    ++decoded;
+    // Compared through canonical re-encoding: bitwise, so NaN payloads a
+    // mutation produced compare equal (deep_equal holds NaN != NaN).
+    std::vector<std::uint8_t> round;
+    ASSERT_NO_THROW(round = dict_round_trip(mutant));
+    NodePtr round_tree;
+    ASSERT_NO_THROW(round_tree = decode(round));
+    EXPECT_EQ(encode(*round_tree), encode(*tree));
   }
   // The mix must exercise both sides of the contract: most mutants are
   // rejected, some survive mutation (e.g. a bit flip inside array data).
   EXPECT_GT(rejected, 0u);
-  EXPECT_GT(decoded + rejected, 0u);
+  EXPECT_GT(decoded, 0u);
+}
+
+/// A Document holding `components` nested component elements around one
+/// leaf: 2 + components frames deep.
+std::vector<std::uint8_t> nested_document(int components) {
+  NodePtr node = make_leaf<std::int32_t>(QName("leaf"), 7);
+  for (int i = 0; i < components; ++i) {
+    auto parent = make_element(QName("n"));
+    parent->add_child(std::move(node));
+    node = std::move(parent);
+  }
+  return encode(*make_document(std::move(node)));
+}
+
+TEST(Mutation, EveryReaderAcceptsTheDeepestAllowedDocument) {
+  // Document + 1022 components + leaf = 1024 nested frames: the cap.
+  const auto bytes = nested_document(1022);
+  EXPECT_NO_THROW(decode(bytes));
+  EXPECT_NO_THROW(decode_message(SharedBuffer::adopt(bytes)));
+  EXPECT_NO_THROW(drain_stream_reader(bytes));
+  const ValidationReport report = validate(bytes);
+  EXPECT_TRUE(report.valid) << report.error;
+  std::vector<std::uint8_t> round;
+  ASSERT_NO_THROW(round = dict_round_trip(bytes));
+  EXPECT_EQ(round, bytes);
+}
+
+TEST(Mutation, EveryReaderRejectsOneFrameDeeper) {
+  // Document + 1023 components + leaf = 1025 nested frames.
+  const auto bytes = nested_document(1023);
+  EXPECT_THROW(decode(bytes), DecodeError);
+  EXPECT_THROW(decode_message(SharedBuffer::adopt(bytes)), DecodeError);
+  EXPECT_THROW(drain_stream_reader(bytes), DecodeError);
+  EXPECT_FALSE(validate(bytes).valid);
+  EXPECT_THROW(dict_round_trip(bytes), DecodeError);
 }
 
 TEST(Mutation, CompressedLayerRejectsMutantsTyped) {

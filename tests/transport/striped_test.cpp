@@ -94,6 +94,26 @@ TEST(StripedBinding, WorksAsSoapEnginePolicy) {
   EXPECT_EQ(outcome.count, 200000u);
 }
 
+TEST(StripedBinding, OverflowingContentTypeVlsIsRejected) {
+  // "BXSM", then a content-type length whose tenth VLS byte carries bits
+  // past bit 63, then a zero payload length: the shared VLS rule refuses
+  // the length instead of wrapping it to 0.
+  TcpListener listener(0);
+  std::thread peer([&] {
+    TcpStream conn = listener.accept();
+    std::vector<std::uint8_t> bytes = {'B', 'X', 'S', 'M'};
+    bytes.insert(bytes.end(), 9, 0x80);
+    bytes.push_back(0x02);
+    bytes.resize(bytes.size() + 8, 0);
+    conn.write_all(bytes);
+  });
+  std::vector<TcpStream> streams;
+  streams.push_back(TcpStream::connect(listener.port()));
+  detail::StripedChannel channel(std::move(streams));
+  EXPECT_THROW(channel.receive(), TransportError);
+  peer.join();
+}
+
 TEST(StripedBinding, InvalidStreamCountRejected) {
   EXPECT_THROW(StripedClientBinding(1, 0), TransportError);
   EXPECT_THROW(StripedClientBinding(1, 65), TransportError);
