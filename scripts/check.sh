@@ -64,10 +64,12 @@ echo "== ctest (tsan: buffer pool + event server + streaming) =="
 # compress/decompress paths in the server and the channel pool), and the
 # streaming-security surfaces (per-stream authenticators handed between
 # reactor and stream threads, shared AuthStats counters, signed-stream
-# round trips and the corruption chaos matrix). Every server-side suite
+# round trips and the corruption chaos matrix), and the differential of
+# the two chunk-stream writers (server stream sink vs ChunkedFrameWriter,
+# byte for byte under every negotiation). Every server-side suite
 # runs on both dispatch legs: a worker pool and inline on the reactors.
 (cd build-tsan && TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  ctest -R 'BufferPool\.|SharedBuffer\.|ServerConfig|EventServer|EventShard|ChannelPool|Streaming|StreamChaos|EngineChaos|Overload|ExpiredDrop|DeadlineContext|ReliableCaller|RespCache|V3Negotiation|DictChannel|V3Chaos|CompressChannel|CompressChaos|Shuffle|SignedStream' \
+  ctest -R 'BufferPool\.|SharedBuffer\.|ServerConfig|EventServer|EventShard|ChannelPool|Streaming|StreamChaos|EngineChaos|Overload|ExpiredDrop|DeadlineContext|ReliableCaller|RespCache|V3Negotiation|DictChannel|V3Chaos|CompressChannel|CompressChaos|Shuffle|SignedStream|ChunkStreamDiff' \
   --output-on-failure -j "$jobs")
 
 echo "== overload chaos gate (tsan, retry storms + saturated sheds) =="

@@ -117,17 +117,9 @@ class TcpClientBinding {
     ensure_connected();
     struct WireSink final : StreamSink {
       ChunkedFrameWriter<TcpStream> writer;
-      BufferPool* pool;
       WireSink(TcpStream& s, std::string_view ct, BufferPool* p)
-          : writer(s, ct), pool(p) {}
-      void write(StreamChunk c) override {
-        if (c.kind == ChunkKind::kData) {
-          writer.write_data(c.bytes);
-        } else {
-          writer.write_raw(c.kind, c.bytes);
-        }
-        pool->release(std::move(c.bytes));
-      }
+          : writer(s, ct, p) {}
+      void write(StreamChunk c) override { writer.write(std::move(c)); }
       void finish() override { writer.finish(); }
     } sink(stream_, content_type, pool_);
     if (transforms_ != 0) {

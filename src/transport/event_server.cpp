@@ -783,6 +783,18 @@ void SoapEventServer::resume_stream_read(const std::shared_ptr<Conn>& conn) {
                     conn->want_write));
 }
 
+bool SoapEventServer::send_some(Conn& conn, std::span<const std::uint8_t> buf,
+                                std::size_t& off) {
+  while (off < buf.size()) {
+    const std::optional<std::size_t> n =
+        conn.stream.try_write_some(buf.subspan(off));
+    if (!n) return false;
+    conn.last_activity = std::chrono::steady_clock::now();
+    off += *n;
+  }
+  return true;
+}
+
 bool SoapEventServer::flush(const std::shared_ptr<Conn>& conn) {
   bool should_drop = false;
   std::vector<std::shared_ptr<StreamState>> finished;  // joined outside mu
@@ -793,25 +805,16 @@ bool SoapEventServer::flush(const std::shared_ptr<Conn>& conn) {
     try {
       for (;;) {
         // Phase 1: materialized responses ahead of any stream.
-        while (!blocked && !conn->outbox.empty()) {
+        while (!conn->outbox.empty()) {
           std::vector<std::uint8_t>& front = conn->outbox.front();
-          const std::span<const std::uint8_t> rest(
-              front.data() + conn->out_offset,
-              front.size() - conn->out_offset);
           obs::StageTimer t(obs_, obs::Stage::kFrameWrite);
-          const std::optional<std::size_t> n =
-              conn->stream.try_write_some(rest);
-          if (!n) {
+          if (!send_some(*conn, front, conn->out_offset)) {
             blocked = true;
             break;
           }
-          conn->last_activity = std::chrono::steady_clock::now();
-          conn->out_offset += *n;
-          if (conn->out_offset == front.size()) {
-            buffer_pool_.release(std::move(front));
-            conn->outbox.pop_front();
-            conn->out_offset = 0;
-          }
+          buffer_pool_.release(std::move(front));
+          conn->outbox.pop_front();
+          conn->out_offset = 0;
         }
         if (blocked) break;
         // Phase 2: the stream occupying the next sequence slot, if any.
@@ -831,7 +834,7 @@ bool SoapEventServer::flush(const std::shared_ptr<Conn>& conn) {
               // answer with the prepared v1 fault envelope instead.
               std::size_t residue = st->out_bytes;
               for (OutFrame& f : st->out) {
-                buffer_pool_.release(std::move(f.bytes));
+                buffer_pool_.release(std::move(f.frame.body));
               }
               st->out.clear();
               st->out_bytes = 0;
@@ -848,38 +851,17 @@ bool SoapEventServer::flush(const std::shared_ptr<Conn>& conn) {
           } else {
             while (!st->out.empty()) {
               OutFrame& f = st->out.front();
-              bool frame_done = false;
               obs::StageTimer t(obs_, obs::Stage::kFrameWrite);
-              for (;;) {
-                std::span<const std::uint8_t> rest;
-                const bool in_hdr = f.hdr_off < f.hdr.size();
-                if (in_hdr) {
-                  rest = {f.hdr.data() + f.hdr_off,
-                          f.hdr.size() - f.hdr_off};
-                } else if (f.body_off < f.bytes.size()) {
-                  rest = {f.bytes.data() + f.body_off,
-                          f.bytes.size() - f.body_off};
-                } else {
-                  frame_done = true;
-                  break;
-                }
-                const std::optional<std::size_t> n =
-                    conn->stream.try_write_some(rest);
-                if (!n) {
-                  blocked = true;
-                  break;
-                }
-                st->wire_started = true;
-                conn->last_activity = std::chrono::steady_clock::now();
-                if (in_hdr) {
-                  f.hdr_off += *n;
-                } else {
-                  f.body_off += *n;
-                }
+              const bool sent =
+                  send_some(*conn, f.frame.head(), f.hdr_off) &&
+                  send_some(*conn, f.frame.body, f.body_off);
+              if (f.hdr_off + f.body_off > 0) st->wire_started = true;
+              if (!sent) {
+                blocked = true;
+                break;
               }
-              if (!frame_done) break;
-              const std::size_t freed = f.bytes.size();
-              buffer_pool_.release(std::move(f.bytes));
+              const std::size_t freed = f.frame.body.size();
+              buffer_pool_.release(std::move(f.frame.body));
               st->out.pop_front();
               st->out_bytes -= freed;
               if (stream_buffered_ != nullptr && freed > 0) {
@@ -888,9 +870,9 @@ bool SoapEventServer::flush(const std::shared_ptr<Conn>& conn) {
               if (stream_flushes_ != nullptr) stream_flushes_->add();
               st->cv.notify_all();
             }
-            if (!blocked && st->out_end && st->out.empty() && st->exited) {
-              advanced = true;
-            }
+            // A stream thread that exited without failing finished its
+            // response: the end chunk was its last frame.
+            if (!blocked && st->out.empty() && st->exited) advanced = true;
           }
         }
         if (should_drop || !advanced) break;
@@ -961,7 +943,9 @@ void SoapEventServer::drop(const std::shared_ptr<Conn>& conn) {
       for (StreamChunk& c : st->in) buffer_pool_.release(std::move(c.bytes));
       st->in.clear();
       st->in_bytes = 0;
-      for (OutFrame& f : st->out) buffer_pool_.release(std::move(f.bytes));
+      for (OutFrame& f : st->out) {
+        buffer_pool_.release(std::move(f.frame.body));
+      }
       st->out.clear();
       st->out_bytes = 0;
     }
@@ -1268,108 +1252,48 @@ void SoapEventServer::stream_main(std::shared_ptr<Conn> conn,
     }
   } source(this, conn, st.get());
 
+  // The response stream: its ChunkEncoder frames the handler's chunks, and
+  // each frame waits for room in the depth-bounded out-queue. A signed
+  // stream's authenticator outlives the encoder that points at it.
+  std::unique_ptr<StreamAuthenticator> tx_auth;
   struct QueueSink final : StreamSink {
     SoapEventServer* srv;
     const std::shared_ptr<Conn>& conn;
     StreamState* st;
-    StreamAuthenticator* auth;
-    std::uint64_t total = 0;
-    bool pushed_any = false;
-    bool wrote_header = false;
+    ChunkEncoder encoder;
     QueueSink(SoapEventServer* s, const std::shared_ptr<Conn>& c,
-              StreamState* t, StreamAuthenticator* a)
-        : srv(s), conn(c), st(t), auth(a) {}
-    void write(StreamChunk c) override {
-      // Signed stream: absorb the chunk in LOGICAL (pre-compression) order
-      // — the MAC covers what the handler said, not how the wire packed it.
-      if (auth != nullptr) {
-        auth_absorb_chunk(*auth, c.kind, c.bytes, srv->auth_stats_);
-      }
-      if (c.kind == ChunkKind::kData) {
-        // The End total counts LOGICAL bytes, so it is tallied before any
-        // compression of the chunk body.
-        total += c.bytes.size();
-        if (conn->transforms != 0) {
-          std::vector<std::uint8_t> packed =
-              srv->buffer_pool_.acquire(c.bytes.size() + 64);
-          const Transform t = compress_append(
-              c.bytes, conn->transforms, srv->compress_policy_,
-              srv->buffer_pool_, packed, srv->compress_stats_);
-          if (t != Transform::kNone) {
-            srv->buffer_pool_.release(std::move(c.bytes));
-            push(static_cast<std::uint8_t>(ChunkKind::kCompressedData),
-                 std::move(packed), false);
-            return;
-          }
-          srv->buffer_pool_.release(std::move(packed));
+              StreamState* t)
+        : srv(s), conn(c), st(t), encoder(s->encoding_->content_type()) {}
+    auto enqueue() {
+      return [this](ChunkFrame f) {
+        const std::size_t n = f.body.size();
+        {
+          std::unique_lock lock(st->mu);
+          st->cv.wait(lock, [&] {
+            return st->out.size() < kStreamQueueDepth || st->dead;
+          });
+          if (st->dead) throw TransportError("connection dropped mid-stream");
+          st->out.push_back(OutFrame{std::move(f)});
+          st->out_bytes += n;
         }
-      }
-      push(static_cast<std::uint8_t>(c.kind), std::move(c.bytes), false);
+        if (srv->stream_buffered_ != nullptr) srv->stream_buffered_->add(n);
+        srv->request_flush(conn);
+      };
     }
-    void finish() override {
-      if (auth != nullptr) {
-        // The Auth trailer rides before End, so the receiver verifies the
-        // whole stream before End reaches its handler.
-        const std::size_t tag_size = auth->tag_size();
-        std::vector<std::uint8_t> trailer(1 + tag_size);
-        trailer[0] = conn->auth_algo;
-        auth_finalize_tag(*auth, total, {trailer.data() + 1, tag_size});
-        push(static_cast<std::uint8_t>(ChunkKind::kAuth), std::move(trailer),
-             false);
-      }
-      std::vector<std::uint8_t> body(8);
-      store<std::uint64_t>(total, ByteOrder::kBig, body.data());
-      push(static_cast<std::uint8_t>(ChunkKind::kEnd), std::move(body), true);
+    void write(StreamChunk c) override {
+      encoder.chunk(std::move(c), enqueue());
     }
-    void push(std::uint8_t kind, std::vector<std::uint8_t> body,
-              bool is_end) {
-      if (!wrote_header) {
-        // The response's BXTP v2 header rides the queue as a frame with
-        // no chunk header of its own (hdr already "written").
-        wrote_header = true;
-        ByteWriter h(srv->buffer_pool_.acquire(64));
-        h.write_bytes(kFrameMagic, sizeof(kFrameMagic));
-        h.write_u8(kFrameVersionChunked);
-        const std::string_view ct = srv->encoding_->content_type();
-        vls_write(h, ct.size());
-        h.write_string(ct);
-        OutFrame hf;
-        hf.hdr_off = hf.hdr.size();
-        hf.bytes = h.take();
-        enqueue(std::move(hf), false);
-      }
-      OutFrame f;
-      f.hdr[0] = kind;
-      store<std::uint64_t>(body.size(), ByteOrder::kBig, f.hdr.data() + 1);
-      f.bytes = std::move(body);
-      enqueue(std::move(f), is_end);
-    }
-    void enqueue(OutFrame f, bool is_end) {
-      const std::size_t n = f.bytes.size();
-      {
-        std::unique_lock lock(st->mu);
-        st->cv.wait(lock, [&] {
-          return st->out.size() < kStreamQueueDepth || st->dead;
-        });
-        if (st->dead) throw TransportError("connection dropped mid-stream");
-        st->out.push_back(std::move(f));
-        st->out_bytes += n;
-        if (is_end) st->out_end = true;
-        pushed_any = true;
-      }
-      if (srv->stream_buffered_ != nullptr) srv->stream_buffered_->add(n);
-      srv->request_flush(conn);
-    }
-  } sink(this, conn, st.get(), nullptr);
+    void finish() override { encoder.finish(enqueue()); }
+  } sink(this, conn, st.get());
+  sink.encoder.set_compression(
+      {conn->transforms, compress_policy_, &buffer_pool_, compress_stats_});
 
   // Signed stream: the response gets its own per-stream authenticator
   // (the negotiated algorithm was proven buildable at Hello time).
-  std::unique_ptr<StreamAuthenticator> tx_auth;
   if (conn->auth_algo != 0) {
     tx_auth = stream_auth_.make(conn->auth_algo);
     if (tx_auth != nullptr) {
-      tx_auth->init();
-      sink.auth = tx_auth.get();
+      sink.encoder.set_auth(tx_auth.get(), conn->auth_algo, auth_stats_);
     }
   }
 
@@ -1398,7 +1322,7 @@ void SoapEventServer::stream_main(std::shared_ptr<Conn> conn,
     fault = {"soap:Server", e.what(), ""};
   }
   if (faulted) {
-    if (sink.pushed_any) {
+    if (sink.encoder.started()) {
       // Chunks already committed to the wire queue cannot be retracted.
       torn = true;
       faulted = false;

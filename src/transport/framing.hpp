@@ -19,6 +19,10 @@
 // framing code is exercised on real sockets and in deterministic
 // no-socket tests.
 //
+// One encoder writes every v2 chunk stream: ChunkEncoder, the sans-IO
+// mirror of FrameAssembler, whose frames ChunkedFrameWriter writes to a
+// FrameStream and the event server queues for its reactor.
+//
 // Reading is defensive: the declared lengths come from the peer, so every
 // one is checked against FrameLimits BEFORE any allocation sized by it. A
 // corrupt or hostile length field costs a TransportError, not a multi-GB
@@ -31,6 +35,7 @@
 #include <cstring>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -442,7 +447,7 @@ void write_frame(S& stream, const soap::WireMessage& m) {
 }
 
 /// The per-direction compression setup a negotiated connection hands its
-/// chunk writers: the intersection transform set from the handshake plus
+/// ChunkEncoders: the intersection transform set from the handshake plus
 /// the adaptive policy and the pool compressed bodies are built in.
 struct ChunkCompression {
   std::uint8_t transforms = 0;  ///< 0 = never compress
@@ -451,27 +456,40 @@ struct ChunkCompression {
   CompressStats stats{};
 };
 
-/// Writer side of a v2 chunked transfer: header once, then any number of
-/// data chunks, optional patch chunks, and one end chunk. Each chunk goes
-/// out in a single gathered syscall on streams that support it.
-template <FrameStream S>
-class ChunkedFrameWriter {
- public:
-  ChunkedFrameWriter(S& stream, std::string_view content_type)
-      : stream_(stream) {
-    ByteWriter h;
-    write_header(h, kFrameVersionChunked, content_type);
-    stream_.write_all(h.bytes());
+/// One piece of a v2 stream as ChunkEncoder hands it to a driver, written
+/// in order: head(), then body. A chunk frame's head is its 9-byte chunk
+/// header (kind u8, body length u64 big-endian); the stream header rides
+/// as a bare body with an empty head.
+struct ChunkFrame {
+  std::array<std::uint8_t, 9> hdr{};
+  std::size_t hdr_size = 0;
+  std::vector<std::uint8_t> body;
+
+  std::span<const std::uint8_t> head() const noexcept {
+    return {hdr.data(), hdr_size};
   }
+};
+
+/// The write side of a v2 chunked transfer with no I/O, the mirror of
+/// FrameAssembler. It owns the stream's write state — adaptive per-chunk
+/// compression, the authenticator signing the logical chunk sequence, the
+/// logical data total the end chunk carries, whether the header went out —
+/// and turns each chunk into frames it hands to `emit` (any callable
+/// taking ChunkFrame&&). The stream header goes out just ahead of the
+/// first chunk frame, unless start() sent it earlier. Bodies move through: a chunk that compresses recycles its plain buffer
+/// into the compression pool.
+class ChunkEncoder {
+ public:
+  explicit ChunkEncoder(std::string_view content_type)
+      : content_type_(content_type) {}
 
   /// Arm adaptive per-chunk compression (negotiated connections only).
   void set_compression(const ChunkCompression& c) { compression_ = c; }
 
   /// Arm stream authentication (negotiated connections only): every data
-  /// and patch chunk is absorbed into `auth` as it is written — BEFORE
-  /// compression, so the tag covers the plaintext order — and finish()
-  /// emits the Auth trailer ahead of the end chunk. `auth` must outlive
-  /// the writer and must be freshly init()'d for this stream.
+  /// and patch chunk is absorbed into `auth` BEFORE compression, so the
+  /// tag covers the plaintext order, and finish() emits the Auth trailer
+  /// ahead of the end chunk. `auth` must outlive the encoder.
   void set_auth(StreamAuthenticator* auth, std::uint8_t algo,
                 const AuthStats& stats = {}) {
     auth_ = auth;
@@ -480,95 +498,132 @@ class ChunkedFrameWriter {
     if (auth_ != nullptr) auth_->init();
   }
 
-  void write_data(std::span<const std::uint8_t> chunk) {
+  /// True once the stream header has been emitted.
+  bool started() const noexcept { return started_; }
+
+  /// Emit the stream header now, if it has not gone out yet.
+  template <typename Emit>
+  void start(Emit&& emit) {
+    if (started_) return;
+    started_ = true;
+    ByteWriter h;
+    write_header(h, kFrameVersionChunked, content_type_);
+    emit(ChunkFrame{{}, 0, h.take()});
+  }
+
+  /// Encode one data or patch chunk (the only kinds a producer writes).
+  /// A data chunk that compresses goes out as kCompressedData; the end
+  /// chunk still totals its logical (plain) size.
+  template <typename Emit>
+  void chunk(StreamChunk c, Emit&& emit) {
+    start(emit);
     if (auth_ != nullptr) {
-      auth_absorb_chunk(*auth_, ChunkKind::kData, chunk, auth_stats_);
+      auth_absorb_chunk(*auth_, c.kind, c.bytes, auth_stats_);
     }
-    if (compression_.transforms != 0 && compression_.pool != nullptr) {
-      std::vector<std::uint8_t> packed =
-          compression_.pool->acquire(chunk.size());
-      const Transform used =
-          compress_append(chunk, compression_.transforms, compression_.policy,
-                          *compression_.pool, packed, compression_.stats);
-      if (used != Transform::kNone) {
-        write_chunk(ChunkKind::kCompressedData, packed);
-        total_ += chunk.size();  // the end chunk totals DECOMPRESSED bytes
-        compression_.pool->release(std::move(packed));
-        return;
+    if (c.kind == ChunkKind::kData) {
+      total_ += c.bytes.size();
+      if (compression_.transforms != 0 && compression_.pool != nullptr) {
+        BufferPool& pool = *compression_.pool;
+        std::vector<std::uint8_t> packed = pool.acquire(c.bytes.size());
+        if (compress_append(c.bytes, compression_.transforms,
+                            compression_.policy, pool, packed,
+                            compression_.stats) != Transform::kNone) {
+          std::swap(c.bytes, packed);
+          c.kind = ChunkKind::kCompressedData;
+        }
+        pool.release(std::move(packed));
       }
-      compression_.pool->release(std::move(packed));
     }
-    write_chunk(ChunkKind::kData, chunk);
-    total_ += chunk.size();
+    emit(frame(c.kind, std::move(c.bytes)));
+  }
+
+  /// Close the stream: on an authenticated stream the Auth trailer (algo
+  /// byte + tag over the logical chunk sequence), then the end chunk
+  /// carrying the data-byte total.
+  template <typename Emit>
+  void finish(Emit&& emit) {
+    start(emit);
+    if (auth_ != nullptr) {
+      std::vector<std::uint8_t> trailer(1 + auth_->tag_size());
+      trailer[0] = auth_algo_;
+      auth_finalize_tag(*auth_, total_,
+                        std::span<std::uint8_t>(trailer).subspan(1));
+      emit(frame(ChunkKind::kAuth, std::move(trailer)));
+    }
+    std::vector<std::uint8_t> total_be(8);
+    store<std::uint64_t>(total_, ByteOrder::kBig, total_be.data());
+    emit(frame(ChunkKind::kEnd, std::move(total_be)));
+  }
+
+ private:
+  static ChunkFrame frame(ChunkKind kind, std::vector<std::uint8_t> body) {
+    ChunkFrame f{{}, 9, std::move(body)};
+    f.hdr[0] = static_cast<std::uint8_t>(kind);
+    store<std::uint64_t>(f.body.size(), ByteOrder::kBig, f.hdr.data() + 1);
+    return f;
+  }
+
+  std::string content_type_;
+  ChunkCompression compression_{};
+  StreamAuthenticator* auth_ = nullptr;
+  std::uint8_t auth_algo_ = 0;
+  AuthStats auth_stats_{};
+  std::uint64_t total_ = 0;
+  bool started_ = false;
+};
+
+/// Blocking driver of a ChunkEncoder: writes the header at construction,
+/// then each frame as it is encoded, in one gathered syscall on streams
+/// that support it. Bodies recycle into `pool` once written, when given.
+template <FrameStream S>
+class ChunkedFrameWriter {
+ public:
+  ChunkedFrameWriter(S& stream, std::string_view content_type,
+                     BufferPool* pool = nullptr)
+      : stream_(stream), pool_(pool), encoder_(content_type) {
+    encoder_.start(put());
+  }
+
+  void set_compression(const ChunkCompression& c) {
+    encoder_.set_compression(c);
+  }
+  void set_auth(StreamAuthenticator* auth, std::uint8_t algo,
+                const AuthStats& stats = {}) {
+    encoder_.set_auth(auth, algo, stats);
+  }
+
+  /// Send one data or patch chunk, taking its buffer.
+  void write(StreamChunk c) { encoder_.chunk(std::move(c), put()); }
+
+  void write_data(std::span<const std::uint8_t> chunk) {
+    write({ChunkKind::kData, {chunk.begin(), chunk.end()}});
   }
 
   void write_patches(std::span<const bxsa::PatchRecord> patches) {
     if (patches.empty()) return;
     ByteWriter body;
     encode_patch_records(body, patches);
-    absorb_patch(body.bytes());
-    write_chunk(ChunkKind::kPatch, body.bytes());
+    write({ChunkKind::kPatch, body.take()});
   }
 
-  /// Forward an already-encoded chunk body verbatim (the pass-through
-  /// path: an echo or relay handler never decodes the records).
-  void write_raw(ChunkKind kind, std::span<const std::uint8_t> body) {
-    if (kind == ChunkKind::kEnd || kind == ChunkKind::kAuth) {
-      throw TransportError("end chunks and auth trailers are emitted by "
-                           "finish()");
-    }
-    if (kind == ChunkKind::kData) {
-      // Route through write_data so pass-through chunks (echo/relay
-      // handlers) get the same adaptive compression as encoded ones.
-      write_data(body);
-      return;
-    }
-    if (kind == ChunkKind::kPatch) absorb_patch(body);
-    write_chunk(kind, body);
-  }
-
-  /// Close the stream: on an authenticated stream emits the Auth trailer
-  /// (algo byte + tag over the logical chunk sequence), then the end chunk
-  /// carrying the data-byte total.
-  void finish() {
-    if (auth_ != nullptr) {
-      std::uint8_t trailer[1 + kMaxAuthTagBytes];
-      trailer[0] = auth_algo_;
-      const std::size_t tag_size = auth_->tag_size();
-      auth_finalize_tag(*auth_, total_,
-                        std::span<std::uint8_t>(trailer + 1, tag_size));
-      write_chunk(ChunkKind::kAuth, {trailer, 1 + tag_size});
-    }
-    std::uint8_t total_be[8];
-    store<std::uint64_t>(total_, ByteOrder::kBig, total_be);
-    write_chunk(ChunkKind::kEnd, {total_be, sizeof(total_be)});
-  }
+  void finish() { encoder_.finish(put()); }
 
  private:
-  void absorb_patch(std::span<const std::uint8_t> body) {
-    if (auth_ != nullptr) {
-      auth_absorb_chunk(*auth_, ChunkKind::kPatch, body, auth_stats_);
-    }
-  }
-
-  void write_chunk(ChunkKind kind, std::span<const std::uint8_t> body) {
-    std::uint8_t hdr[9];
-    hdr[0] = static_cast<std::uint8_t>(kind);
-    store<std::uint64_t>(body.size(), ByteOrder::kBig, hdr + 1);
-    if constexpr (VectoredStream<S>) {
-      stream_.write_vectored({hdr, sizeof(hdr)}, body);
-    } else {
-      stream_.write_all({hdr, sizeof(hdr)});
-      stream_.write_all(body);
-    }
+  auto put() {
+    return [this](ChunkFrame f) {
+      if constexpr (VectoredStream<S>) {
+        stream_.write_vectored(f.head(), f.body);
+      } else {
+        stream_.write_all(f.head());
+        stream_.write_all(f.body);
+      }
+      if (pool_ != nullptr) pool_->release(std::move(f.body));
+    };
   }
 
   S& stream_;
-  ChunkCompression compression_{};
-  StreamAuthenticator* auth_ = nullptr;
-  std::uint8_t auth_algo_ = 0;
-  AuthStats auth_stats_{};
-  std::uint64_t total_ = 0;
+  BufferPool* pool_;
+  ChunkEncoder encoder_;
 };
 
 /// The BXTP decoder for every version — v1 frames, v2 chunked streams, v3

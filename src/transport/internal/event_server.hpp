@@ -45,11 +45,12 @@
 // Streaming (BXTP v2): a chunked frame must not monopolize a worker (the
 // handler blocks on chunk arrival) nor flood the reactor (a 256 MiB stream
 // cannot be assembled). Each active stream gets a DEDICATED thread and two
-// depth-1 queues: the owning reactor pushes request chunks in; the handler
-// pushes framed response chunks out. When the in-queue is full the reactor
-// parks the connection's EPOLLIN, so a fast sender backs up into the
-// kernel's TCP window; when the out-queue is full the handler blocks, so a
-// slow receiver stalls its own stream and nothing else. Park and wake
+// depth-1 queues: the owning reactor pushes request chunks in; the
+// handler's ChunkEncoder (framing.hpp) frames response chunks and pushes
+// them out. When the in-queue is full the reactor parks the connection's
+// EPOLLIN, so a fast sender backs up into the kernel's TCP window; when
+// the out-queue is full the handler blocks, so a slow receiver stalls its
+// own stream and nothing else. Park and wake
 // always target the connection's OWNING reactor. Per-stream residency is
 // therefore ~2 chunk buffers regardless of message size. A stream's
 // response occupies its request's sequence slot: the outbox holds earlier
@@ -155,12 +156,11 @@ class SoapEventServer : public SoapServer {
  private:
   struct Reactor;
 
-  /// A response chunk frame staged for the wire: 9-byte chunk header +
-  /// pooled body, written without re-copying the body.
+  /// A response frame staged for the wire, as the stream's ChunkEncoder
+  /// made it: head + pooled body, written without re-copying the body.
   struct OutFrame {
-    std::array<std::uint8_t, 9> hdr{};
-    std::vector<std::uint8_t> bytes;
-    std::size_t hdr_off = 0;   // header bytes already written
+    ChunkFrame frame;
+    std::size_t hdr_off = 0;   // head bytes already written
     std::size_t body_off = 0;  // body bytes already written
   };
 
@@ -172,7 +172,6 @@ class SoapEventServer : public SoapServer {
     std::deque<StreamChunk> in;  // reactor -> handler (cap kStreamQueueDepth)
     bool in_end = false;         // end chunk arrived; no more input
     std::deque<OutFrame> out;    // handler -> reactor (cap kStreamQueueDepth)
-    bool out_end = false;        // end frame queued; no more output
     bool failed = false;         // handler threw: fault or cut the conn
     bool dead = false;           // connection dropped: handler must bail
     bool exited = false;         // stream thread finished; join is instant
@@ -337,6 +336,11 @@ class SoapEventServer : public SoapServer {
   /// connection is dropped (a write failed, or a half-closed peer got its
   /// last response).
   bool flush(const std::shared_ptr<Conn>& conn);
+  /// flush()'s one partial-write step: write what the socket takes of
+  /// `buf` past `off`, advancing `off`. True once all of `buf` is written,
+  /// false if the socket would block first.
+  static bool send_some(Conn& conn, std::span<const std::uint8_t> buf,
+                        std::size_t& off);
   /// After a pump on the owning reactor: flush if it left bytes pending.
   /// Returns false once the connection is dropped.
   bool flush_if_pending(const std::shared_ptr<Conn>& conn);

@@ -54,8 +54,9 @@ class StreamSource {
   virtual std::optional<StreamChunk> next() = 0;
 };
 
-/// Where a handler's response chunks go. write() blocks while the wire (or
-/// the reactor's bounded queue) is full; finish() emits the end chunk.
+/// Where a handler's response chunks go: data and patch chunks only, which
+/// a ChunkEncoder turns into frames. write() blocks while the wire (or the
+/// reactor's bounded queue) is full; finish() emits the end chunk.
 class StreamSink {
  public:
   virtual ~StreamSink() = default;
@@ -170,10 +171,13 @@ class ResponseWriter {
   BufferPool& pool() noexcept { return pool_; }
   std::size_t chunk_bytes() const noexcept { return chunk_bytes_; }
 
-  /// Forward one chunk verbatim (data or patch).
+  /// Forward one chunk verbatim: data or patch, the kinds a StreamRequest
+  /// surfaces. Any other kind is refused before a byte of it is written —
+  /// End and the Auth trailer are the stream writer's own, and a
+  /// compressed chunk is a wire form of data the writer chooses.
   void write_chunk(StreamChunk chunk) {
-    if (chunk.kind == ChunkKind::kEnd) {
-      throw TransportError("end chunks are emitted by finish()");
+    if (chunk.kind != ChunkKind::kData && chunk.kind != ChunkKind::kPatch) {
+      throw TransportError("a stream writes only data and patch chunks");
     }
     require_open();
     sink_.write(std::move(chunk));
@@ -232,9 +236,9 @@ class ResponseWriter {
 };
 
 /// A streaming exchange handler. Runs on a thread that may block (the
-/// pool's connection worker, the event server's per-stream thread); it
-/// must consume the request and finish the response (servers drain an
-/// unread tail and auto-finish an unfinished response as an empty stream).
+/// event server's per-stream thread); it must consume the request and
+/// finish the response (servers drain an unread tail and auto-finish an
+/// unfinished response as an empty stream).
 using StreamHandler = std::function<void(StreamRequest&, ResponseWriter&)>;
 
 }  // namespace bxsoap::transport

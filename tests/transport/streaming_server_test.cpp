@@ -5,6 +5,7 @@
 // stream.buffered_bytes waterline.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -227,6 +228,76 @@ TEST_P(StreamingServer, MaterializedAndStreamedInterleaveOnOneConnection) {
   SoapEnvelope r2 = engine.call(request);
   EXPECT_FALSE(r2.is_fault());
   expect_counter([&] { return server->exchanges(); }, 3, "exchanges");
+}
+
+/// The chunk kinds a handler may not write: End and the Auth trailer are
+/// the stream writer's to emit, and compression is a wire encoding of
+/// Data, not a kind of its own.
+const ChunkKind kNotWritable[] = {ChunkKind::kEnd, ChunkKind::kAuth,
+                                  ChunkKind::kCompressedData};
+
+/// Try each kind in kNotWritable; returns how many were refused.
+int write_forbidden_kinds(ResponseWriter& w) {
+  int refused = 0;
+  for (const ChunkKind kind : kNotWritable) {
+    try {
+      w.write_chunk(StreamChunk{kind, std::vector<std::uint8_t>(9, 0x01)});
+    } catch (const TransportError&) {
+      ++refused;
+    }
+  }
+  return refused;
+}
+
+TEST_P(StreamingServer, HandlerChunkOfOtherKindIsRefusedBeforeTheWire) {
+  // Refused locally, the bad chunks leave no byte on the wire: the stream
+  // that follows is a clean echo the client parses to its end.
+  std::atomic<int> refused{0};
+  StreamHandler handler = [&](StreamRequest& req, ResponseWriter& resp) {
+    refused = write_forbidden_kinds(resp);
+    echo_handler(req, resp);
+  };
+  auto server =
+      create_server(GetParam(), make_config(nullptr, "srv", handler));
+
+  TcpClientBinding client(server->port());
+  std::vector<std::uint8_t> received;
+  client.stream_exchange(
+      "application/x-test", kChunk,
+      [&](ResponseWriter& tx) {
+        tx.write_data(std::vector<std::uint8_t>(1024, 0x5A));
+        tx.finish();
+      },
+      [&](StreamRequest& rx) {
+        while (auto data = rx.next_data()) {
+          received.insert(received.end(), data->begin(), data->end());
+        }
+      });
+  EXPECT_EQ(refused.load(), 3);
+  EXPECT_EQ(received, std::vector<std::uint8_t>(1024, 0x5A));
+}
+
+TEST_P(StreamingServer, ClientChunkOfOtherKindIsRefusedBeforeTheWire) {
+  auto server = create_server(
+      GetParam(), make_config(nullptr, "srv", echo_handler));
+
+  TcpClientBinding client(server->port());
+  int refused = 0;
+  std::vector<std::uint8_t> received;
+  client.stream_exchange(
+      "application/x-test", kChunk,
+      [&](ResponseWriter& tx) {
+        refused = write_forbidden_kinds(tx);
+        tx.write_data(std::vector<std::uint8_t>(1024, 0xA5));
+        tx.finish();
+      },
+      [&](StreamRequest& rx) {
+        while (auto data = rx.next_data()) {
+          received.insert(received.end(), data->begin(), data->end());
+        }
+      });
+  EXPECT_EQ(refused, 3);
+  EXPECT_EQ(received, std::vector<std::uint8_t>(1024, 0xA5));
 }
 
 TEST_P(StreamingServer, ChunkedFrameWithoutStreamHandlerCutsConnection) {
