@@ -60,6 +60,11 @@ class LatencySamples {
     return sum / static_cast<double>(samples_.size());
   }
 
+  std::uint64_t min_ns() const {
+    if (samples_.empty()) return 0;
+    return *std::min_element(samples_.begin(), samples_.end());
+  }
+
   std::uint64_t max_ns() const {
     std::uint64_t m = 0;
     for (const std::uint64_t s : samples_) m = std::max(m, s);

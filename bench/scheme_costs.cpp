@@ -34,8 +34,8 @@ UnifiedCosts measure_unified_xml_era(const workload::LeadDataset& dataset,
         era_parse.era_number_parsing = true;
         soap::SoapEnvelope env(
             xml::retype(*xml::parse_xml(request_text), era_parse));
-        const auto d = workload::from_bxdm(*env.body_payload());
-        const auto outcome = services::verify_dataset(d);
+        const auto outcome = services::verify_dataset(
+            workload::lead_view(*env.body_payload()));
         volatile std::size_t sink =
             xml::write_xml(services::make_verify_response(outcome).document(),
                            era)

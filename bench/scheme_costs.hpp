@@ -40,7 +40,8 @@ UnifiedCosts measure_unified(const workload::LeadDataset& dataset,
       services::make_data_request(dataset);
   const auto request_bytes = enc.serialize(request.document());
 
-  // Server: octets -> envelope -> dataset -> verify -> response octets.
+  // Server: octets -> envelope -> verify the arrays in place -> response
+  // octets (the path verification_handler runs).
   soap::SoapEnvelope response = services::make_verify_response(
       services::verify_dataset(dataset));
   const auto response_bytes = enc.serialize(response.document());
@@ -59,8 +60,8 @@ UnifiedCosts measure_unified(const workload::LeadDataset& dataset,
   const double t_server = measure_seconds(
       [&] {
         soap::SoapEnvelope env(enc.deserialize(request_bytes));
-        const auto d = workload::from_bxdm(*env.body_payload());
-        const auto outcome = services::verify_dataset(d);
+        const auto outcome = services::verify_dataset(
+            workload::lead_view(*env.body_payload()));
         volatile std::size_t sink =
             enc.serialize(services::make_verify_response(outcome).document())
                 .size();

@@ -21,7 +21,7 @@ cmake --build --preset release-bench -j "$jobs"
 names=("$@")
 if [[ ${#names[@]} -eq 0 ]]; then
   names=(engine frames sockets striping convert compression concurrency
-         streaming overload smallmsg compression_wan)
+         streaming overload smallmsg compression_wan bulk_handler)
 fi
 
 repo="$PWD"
@@ -32,7 +32,7 @@ for name in "${names[@]}"; do
   # connections against the sharded event server) in full mode.
   if [[ "$name" == "concurrency" || "$name" == "streaming" ||
         "$name" == "overload" || "$name" == "smallmsg" ||
-        "$name" == "compression_wan" ]]; then
+        "$name" == "compression_wan" || "$name" == "bulk_handler" ]]; then
     bin="$repo/build-bench/bench/bench_${name}"
   fi
   if [[ ! -x "$bin" ]]; then

@@ -22,19 +22,9 @@ QName lead_name(std::string_view local) {
 
 }  // namespace
 
-VerificationOutcome verify_dataset(const LeadDataset& d) {
-  VerificationOutcome o;
-  o.count = d.model_size();
-  o.checksum = workload::dataset_checksum(d);
-  o.ok = true;
-  for (std::size_t i = 0; i < d.model_size(); ++i) {
-    if (d.index[i] != static_cast<std::int32_t>(i) ||
-        d.values[i] < 150.0 || d.values[i] >= 400.0) {
-      o.ok = false;
-      break;
-    }
-  }
-  return o;
+VerificationOutcome verify_dataset(workload::LeadView d) noexcept {
+  const workload::LeadScan scan = workload::scan_dataset(d);
+  return {scan.plausible, d.model_size(), scan.checksum};
 }
 
 SoapEnvelope make_data_request(const LeadDataset& d) {
@@ -100,8 +90,7 @@ SoapEnvelope verification_handler(SoapEnvelope request) {
   }
 
   if (payload->name().local == "data") {
-    const LeadDataset d = workload::from_bxdm(*payload);
-    return make_verify_response(verify_dataset(d));
+    return make_verify_response(verify_dataset(workload::lead_view(*payload)));
   }
 
   if (payload->name().local == "fetch") {

@@ -30,10 +30,16 @@ struct VerificationOutcome {
                          const VerificationOutcome&) = default;
 };
 
-/// The actual verification: indices must be the identity sequence and
-/// values within the instrument's plausible range (the checksum lets the
-/// client confirm the server saw the exact bytes it sent).
-VerificationOutcome verify_dataset(const workload::LeadDataset& d);
+/// The actual verification, one pass over each array
+/// (workload::scan_dataset): ok iff the index is the identity sequence and
+/// every value v satisfies 150.0 <= v < 400.0 — so NaN and the infinities
+/// fail. count is the model size; the checksum (workload::dataset_checksum)
+/// lets the client confirm the server saw the exact bytes it sent.
+VerificationOutcome verify_dataset(workload::LeadView d) noexcept;
+inline VerificationOutcome verify_dataset(
+    const workload::LeadDataset& d) noexcept {
+  return verify_dataset(d.view());
+}
 
 // ---- request/response construction -------------------------------------------
 
@@ -56,10 +62,11 @@ VerificationOutcome parse_verify_response(const soap::SoapEnvelope& env);
 
 // ---- server-side dispatch -----------------------------------------------------
 
-/// The SOAP handler. Unified requests verify inline data; fetch requests
-/// pull the netCDF file through the channel named in the payload
-/// (http_fetch / gridftp_fetch) and verify that. Malformed requests become
-/// soap:Client faults via exceptions.
+/// The SOAP handler. Unified requests verify inline data straight off the
+/// decoded tree (workload::lead_view: zero-copy arrays are read in the wire
+/// buffer, never copied); fetch requests pull the netCDF file through the
+/// channel named in the payload (http_fetch / gridftp_fetch) and verify
+/// that. Malformed requests become soap:Client faults via exceptions.
 soap::SoapEnvelope verification_handler(soap::SoapEnvelope request);
 
 }  // namespace bxsoap::services

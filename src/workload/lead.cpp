@@ -1,5 +1,6 @@
 #include "workload/lead.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "common/prng.hpp"
@@ -32,22 +33,47 @@ LeadDataset make_lead_dataset(std::size_t model_size, std::uint64_t seed) {
   return d;
 }
 
-std::uint64_t dataset_checksum(const LeadDataset& d) {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ d.model_size();
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (const std::int32_t i : d.index) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)));
+namespace {
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+// Positive doubles order like their bit patterns read as unsigned integers;
+// negative values (sign bit set), infinities and NaNs (all-ones exponent)
+// land above bits(kMaxReading). So kMinReading <= v < kMaxReading, NaN
+// excluded, is one unsigned subtract-and-compare on bits(v).
+constexpr std::uint64_t kReadingLo = std::bit_cast<std::uint64_t>(kMinReading);
+constexpr std::uint64_t kReadingSpan =
+    std::bit_cast<std::uint64_t>(kMaxReading) - kReadingLo;
+
+// The checksum's serial multiply chain over each array once; with kCheck
+// the plausibility checks ride along in the same loops.
+template <bool kCheck>
+LeadScan scan(LeadView d) noexcept {
+  std::uint64_t h = kFnvBasis ^ d.model_size();
+  std::uint32_t index_diff = 0;
+  for (std::size_t i = 0; i < d.index.size(); ++i) {
+    const auto item = static_cast<std::uint32_t>(d.index[i]);
+    h = (h ^ item) * kFnvPrime;
+    if constexpr (kCheck) index_diff |= item ^ static_cast<std::uint32_t>(i);
   }
+  bool implausible = false;
   for (const double v : d.values) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    mix(bits);
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    h = (h ^ bits) * kFnvPrime;
+    if constexpr (kCheck) implausible |= bits - kReadingLo >= kReadingSpan;
   }
-  return h;
+  return {h, index_diff == 0 && !implausible &&
+                 d.index.size() == d.values.size()};
 }
+
+}  // namespace
+
+std::uint64_t dataset_checksum(LeadView d) noexcept {
+  return scan<false>(d).checksum;
+}
+
+LeadScan scan_dataset(LeadView d) noexcept { return scan<true>(d); }
 
 NodePtr to_bxdm(const LeadDataset& d) {
   auto root = make_element(lead_name("data"));
@@ -57,7 +83,7 @@ NodePtr to_bxdm(const LeadDataset& d) {
   return root;
 }
 
-LeadDataset from_bxdm(const ElementBase& payload) {
+LeadView lead_view(const ElementBase& payload) {
   if (payload.kind() != NodeKind::kElement) {
     throw DecodeError("lead payload must be a component element");
   }
@@ -75,10 +101,12 @@ LeadDataset from_bxdm(const ElementBase& payload) {
   if (idx->count() != val->count()) {
     throw DecodeError("lead payload arrays differ in length");
   }
-  LeadDataset d;
-  d.index.assign(idx->view().begin(), idx->view().end());
-  d.values.assign(val->view().begin(), val->view().end());
-  return d;
+  return {idx->view(), val->view()};
+}
+
+LeadDataset from_bxdm(const ElementBase& payload) {
+  const LeadView v = lead_view(payload);
+  return {{v.index.begin(), v.index.end()}, {v.values.begin(), v.values.end()}};
 }
 
 netcdf::NcFile to_netcdf(const LeadDataset& d) {

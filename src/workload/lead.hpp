@@ -14,12 +14,23 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <vector>
 
 #include "netcdf/netcdf.hpp"
 #include "xdm/node.hpp"
 
 namespace bxsoap::workload {
+
+/// The two arrays of a LEAD dataset wherever they live: a LeadDataset's
+/// vectors, or a decoded payload's ArrayElement<T>::view() — then valid
+/// only while that payload (and the wire buffer it pins) lives.
+struct LeadView {
+  std::span<const std::int32_t> index;
+  std::span<const double> values;
+
+  std::size_t model_size() const noexcept { return index.size(); }
+};
 
 struct LeadDataset {
   std::vector<std::int32_t> index;
@@ -28,6 +39,7 @@ struct LeadDataset {
   std::size_t model_size() const noexcept { return index.size(); }
   /// Bytes of the native representation: model_size * (4 + 8).
   std::size_t native_bytes() const noexcept { return index.size() * 12; }
+  LeadView view() const noexcept { return {index, values}; }
 
   friend bool operator==(const LeadDataset& a,
                          const LeadDataset& b) = default;
@@ -37,14 +49,44 @@ struct LeadDataset {
 LeadDataset make_lead_dataset(std::size_t model_size,
                               std::uint64_t seed = 2006);
 
-/// Order-sensitive checksum used by the verification service.
-std::uint64_t dataset_checksum(const LeadDataset& d);
+/// Order-sensitive checksum used by the verification service: a serial
+/// FNV-style xor-multiply chain seeded with the model size, over every
+/// index item, then every value's bits. Clients check the server's reply against it, so its bits
+/// are part of the wire contract.
+std::uint64_t dataset_checksum(LeadView d) noexcept;
+inline std::uint64_t dataset_checksum(const LeadDataset& d) noexcept {
+  return dataset_checksum(d.view());
+}
+
+/// The instrument's plausible readings, in kelvin: [kMinReading,
+/// kMaxReading). NaN is never plausible.
+inline constexpr double kMinReading = 150.0;
+inline constexpr double kMaxReading = 400.0;
+
+struct LeadScan {
+  std::uint64_t checksum = 0;
+  /// Index is the identity sequence, every value v has kMinReading <= v <
+  /// kMaxReading (so no NaN or infinity), and the arrays have equal
+  /// lengths.
+  bool plausible = false;
+};
+
+/// dataset_checksum and the plausibility checks in one pass over each
+/// array: the checks ride in the ALU slots the checksum's multiply chain
+/// leaves idle, and accumulate without branching.
+LeadScan scan_dataset(LeadView d) noexcept;
 
 /// bXDM payload element:
 ///   <lead:data xmlns:lead="urn:lead"><lead:index .../><lead:values .../>
 xdm::NodePtr to_bxdm(const LeadDataset& d);
 
-/// Inverse of to_bxdm; throws DecodeError when the shape is wrong.
+/// The arrays of a to_bxdm-shaped payload, in place (zero-copy views stay
+/// views). The one shape check of a lead:data payload: throws DecodeError
+/// unless it is a component element with an int `index` array and a double
+/// `values` array of equal length.
+LeadView lead_view(const xdm::ElementBase& payload);
+
+/// Inverse of to_bxdm: lead_view plus a copy into owned vectors.
 LeadDataset from_bxdm(const xdm::ElementBase& payload);
 
 /// netCDF classic form: dimension "model", variables "index" (int) and
