@@ -158,7 +158,13 @@ SoapEventServer::~SoapEventServer() { stop(); }
 
 void SoapEventServer::stop() {
   if (stopped_.exchange(true)) return;
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Set under jobs_mu_: a worker that has checked its wait predicate but
+    // not yet blocked would otherwise miss both notifications below and
+    // never return, hanging the join.
+    std::lock_guard lock(jobs_mu_);
+    stopping_.store(true, std::memory_order_release);
+  }
   for (auto& r : reactors_) r->wakeup.signal();
   jobs_cv_.notify_all();  // idle workers re-check the stop condition
   for (auto& r : reactors_) {
