@@ -66,10 +66,14 @@ echo "== ctest (tsan: buffer pool + event server + streaming) =="
 # reactor and stream threads, shared AuthStats counters, signed-stream
 # round trips and the corruption chaos matrix), and the differential of
 # the two chunk-stream writers (server stream sink vs ChunkedFrameWriter,
-# byte for byte under every negotiation). Every server-side suite
+# byte for byte under every negotiation), and the bulk path's copy-free
+# halves (the engine's borrowed encode against the contiguous one, the
+# N-buffer gathered send resuming after interrupted partial writes, reads
+# into recycled pool buffers that are never zero-filled, and the client
+# pool's conservation over gathered bulk calls). Every server-side suite
 # runs on both dispatch legs: a worker pool and inline on the reactors.
 (cd build-tsan && TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  ctest -R 'BufferPool\.|SharedBuffer\.|ServerConfig|EventServer|EventShard|ChannelPool|Streaming|StreamChaos|EngineChaos|Overload|ExpiredDrop|DeadlineContext|ReliableCaller|RespCache|V3Negotiation|DictChannel|V3Chaos|CompressChannel|CompressChaos|Shuffle|SignedStream|ChunkStreamDiff' \
+  ctest -R 'BufferPool\.|SharedBuffer\.|ServerConfig|EventServer|EventShard|ChannelPool|Streaming|StreamChaos|EngineChaos|Overload|ExpiredDrop|DeadlineContext|ReliableCaller|RespCache|V3Negotiation|DictChannel|V3Chaos|CompressChannel|CompressChaos|Shuffle|SignedStream|ChunkStreamDiff|BorrowedEncode|WriteVectored|ReadInPlace|GatherSend' \
   --output-on-failure -j "$jobs")
 
 echo "== overload chaos gate (tsan, retry storms + saturated sheds) =="

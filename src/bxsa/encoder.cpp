@@ -39,11 +39,15 @@ std::size_t scalar_value_size(const ScalarValue& v) {
 
 class Encoder final : public NodeVisitor {
  public:
-  explicit Encoder(ByteOrder order, obs::CodecStats* stats)
-      : order_(order), w_(order), stats_(stats) {}
+  explicit Encoder(const EncodeOptions& opt)
+      : order_(opt.order), w_(opt.order), stats_(opt.stats) {
+    w_.borrow_into(opt.borrow);
+  }
 
-  Encoder(ByteOrder order, obs::CodecStats* stats, ByteWriter out)
-      : order_(order), w_(order, std::move(out)), stats_(stats) {}
+  Encoder(const EncodeOptions& opt, ByteWriter out)
+      : order_(opt.order), w_(opt.order, std::move(out)), stats_(opt.stats) {
+    w_.borrow_into(opt.borrow);
+  }
 
   std::vector<std::uint8_t> take() { return w_.take(); }
   ByteWriter take_writer() { return w_.take_writer(); }
@@ -155,13 +159,14 @@ class Encoder final : public NodeVisitor {
     return n;
   }
 
-  /// Array payload: aligned, packed, in the frame's byte order.
+  /// Array payload: aligned, packed, in the frame's byte order (or
+  /// borrowed from the node, in borrowing mode).
   void put_packed_items(const ArrayElementBase& e) {
     const auto bytes = e.packed_bytes();
     switch (e.atom_type()) {
       case AtomType::kInt8:
       case AtomType::kUInt8:
-        w_.put_raw(bytes);
+        put_typed_items<std::uint8_t>(bytes, e.count());
         return;
       case AtomType::kInt16:
         put_typed_items<std::int16_t>(bytes, e.count());
@@ -304,14 +309,14 @@ void put_string_frame(xbs::Writer& w, std::uint8_t prefix_byte,
 }
 
 std::vector<std::uint8_t> encode(const Node& node, const EncodeOptions& opt) {
-  Encoder enc(opt.order, opt.stats);
+  Encoder enc(opt);
   node.accept(enc);
   return enc.take();
 }
 
 void encode_append(const Node& node, ByteWriter& out,
                    const EncodeOptions& opt) {
-  Encoder enc(opt.order, opt.stats, std::move(out));
+  Encoder enc(opt, std::move(out));
   node.accept(enc);
   out = enc.take_writer();
 }

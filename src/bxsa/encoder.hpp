@@ -21,6 +21,11 @@ struct EncodeOptions {
   /// Optional codec tallies (obs/metrics.hpp): frames emitted by type,
   /// symbol-table hit/auto-declaration counts. Null = no accounting.
   obs::CodecStats* stats = nullptr;
+  /// Borrow instead of copy (xbs::Writer::borrow_into): packed arrays of
+  /// at least xbs::kBorrowMinBytes that need no byte swap are appended here
+  /// as runs pointing at the nodes' storage, and only their pads go into
+  /// the output. Null (the default) encodes contiguously.
+  std::vector<BorrowedRun>* borrow = nullptr;
 };
 
 /// Encode a whole document (or any single node) as a BXSA frame sequence.

@@ -16,6 +16,30 @@
 
 namespace bxsoap {
 
+/// Bytes a serialized message borrows from their owner instead of copying
+/// (xbs::Writer's borrowing mode): they belong on the wire right before
+/// byte `at` of the buffer they accompany, and are valid only as long as
+/// their owner (typically the envelope a packed array lives in).
+struct BorrowedRun {
+  std::size_t at = 0;
+  std::span<const std::uint8_t> bytes;
+};
+
+/// Visit `buf` with `runs` spliced in, piece by piece in wire order (empty
+/// pieces skipped): what a gathered write sends and what a join copies.
+/// `runs` are in ascending `at` order, each `at` <= buf.size().
+template <typename Fn>
+void for_each_piece(std::span<const std::uint8_t> buf,
+                    std::span<const BorrowedRun> runs, Fn&& fn) {
+  std::size_t from = 0;
+  for (const BorrowedRun& r : runs) {
+    if (r.at > from) fn(buf.subspan(from, r.at - from));
+    if (!r.bytes.empty()) fn(r.bytes);
+    from = r.at;
+  }
+  if (buf.size() > from) fn(buf.subspan(from));
+}
+
 /// Appends bytes to an internal growable buffer.
 class ByteWriter {
  public:
@@ -56,7 +80,7 @@ class ByteWriter {
     const std::size_t off = buf_.size();
     buf_.resize(off + values.size_bytes());
     std::memcpy(buf_.data() + off, values.data(), values.size_bytes());
-    if (order != host_byte_order()) {
+    if (sizeof(T) > 1 && order != host_byte_order()) {
       byteswap_array(reinterpret_cast<T*>(buf_.data() + off), values.size());
     }
   }

@@ -83,6 +83,13 @@ BufferPool::ThreadCache* BufferPool::this_thread_cache() {
 }
 
 std::vector<std::uint8_t> BufferPool::acquire(std::size_t min_capacity) {
+  std::vector<std::uint8_t> buf = acquire_for_overwrite(min_capacity);
+  buf.clear();
+  return buf;
+}
+
+std::vector<std::uint8_t> BufferPool::acquire_for_overwrite(
+    std::size_t min_capacity) {
   if (min_capacity <= cfg_.max_class_bytes) {
     const std::size_t idx = class_index_up(min_capacity);
     // Tier 1: this thread's cache. The lock is private to this thread except
@@ -97,7 +104,6 @@ std::vector<std::uint8_t> BufferPool::acquire(std::size_t min_capacity) {
           lock.unlock();
           hit_.fetch_add(1, std::memory_order_relaxed);
           if (auto* c = hit_counter_.load(std::memory_order_relaxed)) c->add();
-          buf.clear();
           return buf;
         }
       }
@@ -113,7 +119,6 @@ std::vector<std::uint8_t> BufferPool::acquire(std::size_t min_capacity) {
         lock.unlock();
         hit_.fetch_add(1, std::memory_order_relaxed);
         if (auto* c = hit_counter_.load(std::memory_order_relaxed)) c->add();
-        buf.clear();
         return buf;
       }
     }
@@ -143,7 +148,6 @@ void BufferPool::release(std::vector<std::uint8_t> buf) {
     std::lock_guard<std::mutex> lock(tc->mu);
     if (!tc->dead &&
         tc->classes[idx].size() < cfg_.thread_cache_buffers_per_class) {
-      buf.clear();
       tc->classes[idx].push_back(std::move(buf));
       pooled = true;
     }
@@ -153,7 +157,6 @@ void BufferPool::release(std::vector<std::uint8_t> buf) {
     if (classes_[idx].size() >= cfg_.max_buffers_per_class) {
       return;  // class full: let the vector free on scope exit
     }
-    buf.clear();
     classes_[idx].push_back(std::move(buf));
   }
   recycled_bytes_.fetch_add(cap, std::memory_order_relaxed);

@@ -8,8 +8,11 @@
 //
 // Design:
 //   * Buffers are plain std::vector<std::uint8_t>; the pool only keeps their
-//     *capacity* alive. Releasing a buffer into a different pool than it was
-//     acquired from is therefore harmless — it is just a vector.
+//     storage alive. Releasing a buffer into a different pool than it was
+//     acquired from is therefore harmless — it is just a vector. A buffer
+//     keeps its size while pooled, so a receive path can overwrite a
+//     recycled buffer in place without value-initializing it first
+//     (acquire_for_overwrite); acquire() hands out an empty one.
 //   * Power-of-two size classes. acquire(min_capacity) rounds the request UP
 //     to the next class so a recycled buffer always satisfies the caller
 //     without an immediate regrow; release() files a buffer under the class
@@ -82,7 +85,16 @@ class BufferPool {
   /// matching size class has one (this thread's cache first, then shared).
   std::vector<std::uint8_t> acquire(std::size_t min_capacity);
 
-  /// Hands a buffer's storage back for reuse. Clears it; keeps capacity.
+  /// acquire() without the clear: a recycled buffer keeps the size it was
+  /// released with, its bytes left over from its last use. For a caller
+  /// about to overwrite them (a receive buffer sized by a peer's declared
+  /// length), which may then shrink it or grow only the tail instead of
+  /// value-initializing bytes that recv() overwrites. Stale bytes must
+  /// never be exposed as data.
+  std::vector<std::uint8_t> acquire_for_overwrite(std::size_t min_capacity);
+
+  /// Hands a buffer's storage back for reuse. Keeps its capacity and size
+  /// (acquire() clears it, acquire_for_overwrite() does not).
   void release(std::vector<std::uint8_t> buf);
 
   Stats stats() const noexcept;

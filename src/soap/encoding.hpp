@@ -66,6 +66,19 @@ concept StreamingEncoding =
       } -> std::same_as<bxsa::StreamWriter>;
     };
 
+/// Encodings that can leave a document's large packed arrays where they
+/// are: serialize_borrowed appends the document to `w` like serialize_into
+/// but records each array it borrows in `runs` (bxsa::EncodeOptions::
+/// borrow). `w`'s bytes with the runs spliced in are serialize_into's
+/// bytes; the runs stay valid while the document does. Modeled by
+/// BxsaEncoding; XML text has no packed arrays to borrow.
+template <typename E>
+concept BorrowingEncoding =
+    Encoding<E> && requires(const E e, const xdm::Document& d, ByteWriter& w,
+                            std::vector<BorrowedRun>& runs) {
+      { e.serialize_borrowed(d, w, runs) } -> std::same_as<void>;
+    };
+
 /// XML 1.0 encoding with explicit type information (SOAP encoding rule:
 /// schema-less messages carry xsi:type), re-typed on receive so the
 /// application sees the same typed bXDM either way.
@@ -134,6 +147,16 @@ class BxsaEncoding {
     bxsa::encode_append(doc, out, opt);
   }
 
+  /// serialize_into with borrowing on (BorrowingEncoding).
+  void serialize_borrowed(const xdm::Document& doc, ByteWriter& out,
+                          std::vector<BorrowedRun>& runs) const {
+    bxsa::EncodeOptions opt;
+    opt.order = order_;
+    opt.stats = stats_;
+    opt.borrow = &runs;
+    bxsa::encode_append(doc, out, opt);
+  }
+
   /// Zero-copy decode: packed arrays stay views into `wire`, pinned per
   /// node, so the document outliving `wire`'s other references is safe.
   xdm::DocumentPtr deserialize_shared(const SharedBuffer& wire) const {
@@ -158,6 +181,8 @@ static_assert(Encoding<BxsaEncoding>);
 static_assert(LegacyEncoding<XmlEncoding>);
 static_assert(LegacyEncoding<BxsaEncoding>);
 static_assert(!StreamingEncoding<XmlEncoding>);
+static_assert(!BorrowingEncoding<XmlEncoding>);
+static_assert(BorrowingEncoding<BxsaEncoding>);
 static_assert(StreamingEncoding<BxsaEncoding>);
 
 }  // namespace bxsoap::soap

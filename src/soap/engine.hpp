@@ -121,6 +121,16 @@ class SoapEngine {
       obs::StageTimer<Observer> t(observer_, obs::Stage::kSecurity);
       security_.apply(request);
     }
+    if constexpr (BorrowingEncoding<Enc> && GatherBinding<Binding>) {
+      if (binding_.sends_gathered()) {
+        // The large arrays leave straight from `request`, which outlives
+        // the synchronous send.
+        GatherMessage m = encode_gathered(request);
+        obs::StageTimer<Observer> t(observer_, obs::Stage::kSend);
+        binding_.send_request(std::move(m));
+        return;
+      }
+    }
     WireMessage m = encode(request);
     obs::StageTimer<Observer> t(observer_, obs::Stage::kSend);
     binding_.send_request(std::move(m));
@@ -209,6 +219,21 @@ class SoapEngine {
       m.payload = w.take();
     }
     observer_.stage_bytes(obs::Stage::kSerialize, m.payload.size());
+    return m;
+  }
+
+  /// encode() that borrows the envelope's large packed arrays instead of
+  /// copying them: only their framing lands in the pooled buffer.
+  GatherMessage encode_gathered(const SoapEnvelope& env) {
+    GatherMessage m;
+    m.content_type = Enc::content_type();
+    {
+      obs::StageTimer<Observer> t(observer_, obs::Stage::kSerialize);
+      ByteWriter w(pool_->acquire(256));
+      encoding_.serialize_borrowed(env.document(), w, m.runs);
+      m.framing = w.take();
+    }
+    observer_.stage_bytes(obs::Stage::kSerialize, m.payload_size());
     return m;
   }
 

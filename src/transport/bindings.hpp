@@ -82,6 +82,20 @@ class TcpClientBinding {
     // The payload's storage is done with; recycle it for the next encode.
     pool_->release(std::move(m.payload));
   }
+
+  /// A v1 channel sends gathered: v3 framing (dictionary, compression)
+  /// needs the payload whole, so a binding that may still negotiate v3
+  /// takes contiguous bytes.
+  bool sends_gathered() const noexcept { return !v3_enabled_ || v3_failed_; }
+
+  /// Send a request that borrows its large arrays (soap::GatherBinding);
+  /// only while sends_gathered(), which keeps the channel on v1.
+  void send_request(soap::GatherMessage m) {
+    ensure_connected();
+    write_frame(stream_, m);
+    pool_->release(std::move(m.framing));
+  }
+
   soap::WireMessage receive_response() {
     if (!stream_.valid()) throw TransportError("not connected");
     // A negotiated channel still accepts v1 frames: the server's shed

@@ -252,14 +252,15 @@ concept FrameStream = requires(S& s, std::span<const std::uint8_t> out,
   s.read_exact(in, n);
 };
 
-/// Streams that can additionally gather two buffers into one syscall
+/// Streams that can additionally gather buffers into one syscall
 /// (TcpStream via sendmsg). Test streams (MemoryStream, FaultyStream) stay
 /// plain FrameStreams, so their byte-offset-deterministic fault injection
 /// is unchanged.
 template <typename S>
 concept VectoredStream =
-    FrameStream<S> && requires(S& s, std::span<const std::uint8_t> buf) {
-      s.write_vectored(buf, buf);
+    FrameStream<S> &&
+    requires(S& s, std::span<const std::span<const std::uint8_t>> bufs) {
+      s.write_vectored(bufs);
     };
 
 /// Append a frame header up to its payload length (v1/v3) or its first
@@ -434,7 +435,8 @@ void write_frame(S& stream, std::string_view content_type,
   write_header(header, kFrameVersion, content_type);
   header.write<std::uint64_t>(payload.size(), ByteOrder::kBig);
   if constexpr (VectoredStream<S>) {
-    stream.write_vectored(header.bytes(), payload);
+    const std::span<const std::uint8_t> parts[] = {header.bytes(), payload};
+    stream.write_vectored(parts);
   } else {
     stream.write_all(header.bytes());
     stream.write_all(payload);
@@ -444,6 +446,22 @@ void write_frame(S& stream, std::string_view content_type,
 template <FrameStream S>
 void write_frame(S& stream, const soap::WireMessage& m) {
   write_frame(stream, m.content_type, m.payload);
+}
+
+/// Write one v1 frame whose payload still borrows runs from its envelope
+/// (soap::GatherMessage): the header, the framing bytes and the runs leave
+/// in gathered syscalls, the runs straight from where they live.
+template <VectoredStream S>
+void write_frame(S& stream, const soap::GatherMessage& m) {
+  ByteWriter header;
+  write_header(header, kFrameVersion, m.content_type);
+  header.write<std::uint64_t>(m.payload_size(), ByteOrder::kBig);
+  std::vector<std::span<const std::uint8_t>> parts;
+  parts.reserve(2 + 2 * m.runs.size());
+  parts.push_back(header.bytes());
+  for_each_piece(m.framing, m.runs,
+                 [&](std::span<const std::uint8_t> p) { parts.push_back(p); });
+  stream.write_vectored(parts);
 }
 
 /// The per-direction compression setup a negotiated connection hands its
@@ -612,7 +630,8 @@ class ChunkedFrameWriter {
   auto put() {
     return [this](ChunkFrame f) {
       if constexpr (VectoredStream<S>) {
-        stream_.write_vectored(f.head(), f.body);
+        const std::span<const std::uint8_t> parts[] = {f.head(), f.body};
+        stream_.write_vectored(parts);
       } else {
         stream_.write_all(f.head());
         stream_.write_all(f.body);
@@ -679,8 +698,11 @@ class FrameAssembler {
 
   /// Read-into-place window: the next min(max, need()) bytes of a payload
   /// or chunk body, in the buffer take()/take_chunk() hand out (empty
-  /// outside a body); commit() what was written. The buffer grows only as
-  /// far as windows reach, so a peer that stalls pins no more than one.
+  /// outside a body); commit() what was written. A recycled buffer is
+  /// overwritten where it already reaches, without a fill; past that the
+  /// buffer grows only as far as windows reach, so a peer that stalls pins
+  /// no more than one. Bytes past the committed ones are never handed out:
+  /// a body is taken only once all body_len_ bytes were received.
   std::span<std::uint8_t> body_space(std::size_t max) {
     if (!in_body()) return {};
     std::vector<std::uint8_t>& b = body();
@@ -962,13 +984,18 @@ class FrameAssembler {
     return State::kChunkHdr;
   }
 
-  /// Start a body of `len` bytes, already checked against its limit.
+  /// Start a body of `len` bytes, already checked against its limit. A
+  /// recycled buffer keeps its old bytes, cut to at most `len`: windows and
+  /// feeds overwrite them, so b.size() never passes body_len_ and equals it
+  /// once the body is complete.
   void start_body(std::vector<std::uint8_t>& b, std::size_t len) {
     body_len_ = len;
     filled_ = 0;
     if (pool_ != nullptr) {
-      b = pool_->acquire(len);
+      b = pool_->acquire_for_overwrite(len);
+      if (b.size() > len) b.resize(len);
     } else {
+      b.clear();
       b.reserve(len);
     }
   }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 #include "obs/metrics.hpp"
@@ -98,22 +99,27 @@ void TcpStream::write_all(std::string_view s) {
       reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
 }
 
-void TcpStream::write_vectored(std::span<const std::uint8_t> a,
-                               std::span<const std::uint8_t> b) {
-  iovec iov[2];
-  iov[0].iov_base = const_cast<std::uint8_t*>(a.data());
-  iov[0].iov_len = a.size();
-  iov[1].iov_base = const_cast<std::uint8_t*>(b.data());
-  iov[1].iov_len = b.size();
-  msghdr msg{};
-  msg.msg_iov = iov;
-  msg.msg_iovlen = 2;
-  // Skip leading empty iovecs (and advance past fully-sent ones below).
-  while (msg.msg_iovlen > 0 && msg.msg_iov[0].iov_len == 0) {
-    ++msg.msg_iov;
-    --msg.msg_iovlen;
-  }
-  while (msg.msg_iovlen > 0) {
+void TcpStream::write_vectored(
+    std::span<const std::span<const std::uint8_t>> bufs) {
+  // The next unsent byte: offset `skip` into bufs[next].
+  std::size_t next = 0;
+  std::size_t skip = 0;
+  iovec iov[IOV_MAX];
+  for (;;) {
+    // Up to IOV_MAX non-empty pieces from the cursor on: sendmsg refuses
+    // more, and a longer list simply takes further rounds.
+    std::size_t count = 0;
+    for (std::size_t i = next; i < bufs.size() && count < IOV_MAX; ++i) {
+      const std::size_t from = i == next ? skip : 0;
+      if (bufs[i].size() == from) continue;
+      iov[count].iov_base = const_cast<std::uint8_t*>(bufs[i].data() + from);
+      iov[count].iov_len = bufs[i].size() - from;
+      ++count;
+    }
+    if (count == 0) return;
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
     const ssize_t n = ::sendmsg(sock_.fd(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -123,16 +129,17 @@ void TcpStream::write_vectored(std::span<const std::uint8_t> a,
       io_->write_calls.add();
       io_->bytes_out.add(static_cast<std::uint64_t>(n));
     }
-    std::size_t advanced = static_cast<std::size_t>(n);
-    while (msg.msg_iovlen > 0 && advanced >= msg.msg_iov[0].iov_len) {
-      advanced -= msg.msg_iov[0].iov_len;
-      ++msg.msg_iov;
-      --msg.msg_iovlen;
-    }
-    if (msg.msg_iovlen > 0) {
-      msg.msg_iov[0].iov_base =
-          static_cast<std::uint8_t*>(msg.msg_iov[0].iov_base) + advanced;
-      msg.msg_iov[0].iov_len -= advanced;
+    // Advance the cursor past the bytes sent; a partial write may stop in
+    // the middle of a piece.
+    for (std::size_t left = static_cast<std::size_t>(n); left > 0;) {
+      const std::size_t avail = bufs[next].size() - skip;
+      if (left < avail) {
+        skip += left;
+        break;
+      }
+      left -= avail;
+      ++next;
+      skip = 0;
     }
   }
 }

@@ -68,11 +68,12 @@ class TcpStream {
   void write_all(std::span<const std::uint8_t> data);
   void write_all(std::string_view s);
 
-  /// Write two buffers (typically frame header + payload) with a single
-  /// sendmsg per syscall round, so header and payload leave in one segment
-  /// instead of two Nagle-split writes.
-  void write_vectored(std::span<const std::uint8_t> a,
-                      std::span<const std::uint8_t> b);
+  /// Write `bufs` in order as one gathered stream: one sendmsg per round
+  /// over up to IOV_MAX buffers, resuming mid-buffer after a partial
+  /// write, so a frame header and its payload pieces leave in one segment
+  /// instead of Nagle-split writes, and borrowed payload runs are sent from
+  /// where they live. Throws TransportError on error/peer close.
+  void write_vectored(std::span<const std::span<const std::uint8_t>> bufs);
 
   /// Read exactly n bytes; throws TransportError on EOF/error.
   std::vector<std::uint8_t> read_exact(std::size_t n);

@@ -41,6 +41,26 @@ TEST(BufferPool, ReleaseThenAcquireHits) {
   EXPECT_EQ(pool.pooled_buffers(), 0u);
 }
 
+TEST(BufferPool, AcquireForOverwriteKeepsTheReleasedSize) {
+  BufferPool pool;
+  auto buf = pool.acquire(8192);
+  buf.assign(5000, 0xCD);
+  pool.release(std::move(buf));
+  // The bytes stay: a receive path overwrites them instead of filling.
+  auto dirty = pool.acquire_for_overwrite(6000);
+  ASSERT_EQ(dirty.size(), 5000u);
+  EXPECT_EQ(dirty[0], 0xCD);
+  EXPECT_EQ(dirty[4999], 0xCD);
+  pool.release(std::move(dirty));
+  // A plain acquire still hands the same buffer out empty.
+  auto clean = pool.acquire(6000);
+  EXPECT_TRUE(clean.empty());
+  EXPECT_GE(clean.capacity(), 8192u);
+  EXPECT_EQ(pool.stats().hit, 2u);
+  // A miss has nothing to keep.
+  EXPECT_TRUE(pool.acquire_for_overwrite(1u << 20).empty());
+}
+
 TEST(BufferPool, LargerClassSatisfiesSmallerRequest) {
   BufferPool pool;
   auto big = pool.acquire(1 << 20);
