@@ -26,6 +26,7 @@
 #include "transport/http.hpp"
 #include "transport/socket.hpp"
 #include "transport/stream.hpp"
+#include "transport/v3_channel.hpp"
 
 namespace bxsoap::transport {
 
@@ -58,29 +59,16 @@ class TcpClientBinding {
 
   void send_request(soap::WireMessage m) {
     ensure_connected();
-    if (!v3_active_) {
+    if (!v3_) {
       write_frame(stream_, m);
     } else {
-      ByteWriter out(pool_->acquire(m.payload.size() + 64));
-      if (enc_dict_ &&
-          m.content_type == soap::BxsaEncoding::content_type()) {
-        // Only plain BXSA payloads go through the symbol dictionary; any
-        // other content type rides a v3 frame with (at most) the
-        // compressed flag.
-        frame_v3_payload(out, m.payload, m.content_type, enc_dict_,
-                         dict_stats_, transforms_, compress_policy_, pool_,
-                         compress_stats_);
-      } else {
-        std::optional<bxsa::DictEncoder> no_dict;
-        frame_v3_payload(out, m.payload, m.content_type, no_dict,
-                         dict_stats_, transforms_, compress_policy_, pool_,
-                         compress_stats_);
-      }
+      ByteWriter out(ep_->pool->acquire(m.payload.size() + 64));
+      v3_->frame(out, m.payload, m.content_type);
       stream_.write_all(out.bytes());
-      pool_->release(out.take());
+      ep_->pool->release(out.take());
     }
     // The payload's storage is done with; recycle it for the next encode.
-    pool_->release(std::move(m.payload));
+    ep_->pool->release(std::move(m.payload));
   }
 
   /// A v1 channel sends gathered: v3 framing (dictionary, compression)
@@ -93,19 +81,19 @@ class TcpClientBinding {
   void send_request(soap::GatherMessage m) {
     ensure_connected();
     write_frame(stream_, m);
-    pool_->release(std::move(m.framing));
+    ep_->pool->release(std::move(m.framing));
   }
 
   soap::WireMessage receive_response() {
     if (!stream_.valid()) throw TransportError("not connected");
     // A negotiated channel still accepts v1 frames: the server's shed
     // fault (and other pre-encoded constants) are version 1 on purpose.
-    FrameAssembler parser(limits_, pool_, /*accept_v3=*/v3_active_);
+    FrameAssembler parser(ep_->limits, ep_->pool,
+                          /*accept_v3=*/v3_.has_value());
     receive_until(parser, [&] { return parser.streaming(); });
     const std::uint8_t flags = parser.frame_flags();
     soap::WireMessage m = parser.take();
-    m.payload = unframe_v3_payload(std::move(m.payload), flags, dec_dict_,
-                                   transforms_, limits_, *pool_, dict_stats_);
+    if (v3_) m.payload = v3_->unframe(std::move(m.payload), flags);
     return m;
   }
   soap::WireMessage receive_request() {
@@ -135,27 +123,12 @@ class TcpClientBinding {
           : writer(s, ct, p) {}
       void write(StreamChunk c) override { writer.write(std::move(c)); }
       void finish() override { writer.finish(); }
-    } sink(stream_, content_type, pool_);
-    if (transforms_ != 0) {
-      sink.writer.set_compression(
-          {transforms_, compress_policy_, pool_, compress_stats_});
-    }
-    // On an auth-negotiated channel both directions are signed: the
-    // request writer absorbs plaintext chunks as they flush and emits the
-    // Auth trailer, the response reader verifies the server's trailer
-    // before End can surface. The authenticators outlive both the
-    // producer thread and the read loop below.
-    std::unique_ptr<StreamAuthenticator> tx_auth, rx_auth;
-    if (auth_algo_ != 0) {
-      tx_auth = stream_auth_.make(auth_algo_);
-      rx_auth = stream_auth_.make(auth_algo_);
-      if (tx_auth == nullptr || rx_auth == nullptr) {
-        throw TransportError("stream auth cannot build the negotiated "
-                             "algorithm");
-      }
-      sink.writer.set_auth(tx_auth.get(), auth_algo_, auth_stats_);
-    }
-    ResponseWriter request(sink, *pool_, chunk_bytes);
+    } sink(stream_, content_type, ep_->pool);
+    // On an auth-negotiated channel both directions are signed; the
+    // request's authenticator outlives the producer thread.
+    std::unique_ptr<StreamAuthenticator> tx_auth;
+    if (v3_) tx_auth = v3_->arm(sink.writer);
+    ResponseWriter request(sink, *ep_->pool, chunk_bytes);
 
     std::exception_ptr tx_err;
     std::thread producer([&] {
@@ -169,11 +142,8 @@ class TcpClientBinding {
       }
     });
     try {
-      FrameAssembler parser(limits_, pool_);
-      parser.set_transforms(transforms_);
-      if (rx_auth != nullptr) {
-        parser.set_auth(rx_auth.get(), auth_algo_, auth_stats_);
-      }
+      FrameAssembler parser(ep_->limits, ep_->pool);
+      if (v3_) v3_->arm(parser);
       receive_until(parser, [&] { return parser.streaming(); });
       if (parser.streaming()) {
         struct WireSource final : StreamSource {
@@ -191,7 +161,7 @@ class TcpClientBinding {
         } source(*this, parser);
         StreamRequest response(parser.stream_content_type(), source);
         rx(response);
-        response.drain(*pool_);
+        response.drain(*ep_->pool);
       } else {
         // The in-band fault path: present the v1 envelope as a one-chunk
         // stream so the consumer decodes it like any other response.
@@ -208,7 +178,7 @@ class TcpClientBinding {
         source.payload = std::move(m.payload);
         StreamRequest response(std::move(m.content_type), source);
         rx(response);
-        response.drain(*pool_);
+        response.drain(*ep_->pool);
       }
     } catch (...) {
       // The wire is in an unknown state; kill the connection so the next
@@ -227,8 +197,8 @@ class TcpClientBinding {
 
   void close() {
     stream_.close();
-    reset_v3_session();
-    pool_->release(std::move(rx_buf_));
+    v3_.reset();
+    ep_->pool->release(std::move(rx_buf_));
     rx_buf_ = {};
     rx_begin_ = rx_end_ = 0;
   }
@@ -243,7 +213,7 @@ class TcpClientBinding {
   /// probe downgrades the binding to v1 permanently.
   void enable_v3(bxsa::DictLimits offer = {}) noexcept {
     v3_enabled_ = true;
-    dict_offer_ = offer;
+    offer_.dict = offer;
   }
 
   /// Offer `offer` (transport/compress.hpp transforms:: bitmask) in the v3
@@ -252,12 +222,14 @@ class TcpClientBinding {
   /// handshake — and applies to connections dialed after the call.
   void enable_compression(std::uint8_t offer = transforms::kAll,
                           const CompressPolicy& policy = {}) noexcept {
-    compress_offer_ = offer & transforms::kAll;
-    compress_policy_ = policy;
+    offer_.transforms = offer & transforms::kAll;
+    ep_->compress_policy = policy;
   }
 
   /// The CURRENT connection's negotiated transform set (0 = plain).
-  std::uint8_t negotiated_transforms() const noexcept { return transforms_; }
+  std::uint8_t negotiated_transforms() const noexcept {
+    return v3_ ? v3_->terms().transforms : 0;
+  }
 
   /// Offer `auth.algos` (transport/auth.hpp authalgs:: bitmask) in the v3
   /// Hello; the lowest bit of the Accept's intersection becomes this
@@ -268,43 +240,48 @@ class TcpClientBinding {
   /// sticky downgrade; see DESIGN.md §15 for why that is in-threat-model).
   void enable_stream_auth(StreamAuth auth) {
     if (!auth) return;
-    stream_auth_ = std::move(auth);
+    offer_.auth = auth.algos;
+    ep_->stream_auth = std::move(auth);
     v3_enabled_ = true;
   }
 
   /// The CURRENT connection's negotiated auth algorithm (one authalgs::
   /// bit, or 0 when streams are unsigned).
-  std::uint8_t negotiated_auth() const noexcept { return auth_algo_; }
+  std::uint8_t negotiated_auth() const noexcept {
+    return v3_ ? v3_->terms().auth_algo() : 0;
+  }
 
   /// Metric sinks for this channel's stream-auth work (both directions).
   void set_auth_stats(const AuthStats& stats) noexcept {
-    auth_stats_ = stats;
+    ep_->auth_stats = stats;
   }
 
   /// Metric sinks for this channel's compression work (both directions).
   void set_compress_stats(const CompressStats& stats) noexcept {
-    compress_stats_ = stats;
+    ep_->compress_stats = stats;
   }
 
   /// Whether the CURRENT connection negotiated v3 (false before the first
   /// exchange, after a downgrade, and while disconnected).
-  bool v3_active() const noexcept { return v3_active_; }
+  bool v3_active() const noexcept { return v3_.has_value(); }
 
   /// The effective dictionary limits of the current connection (zeros
   /// when no dictionary was negotiated).
-  bxsa::DictLimits negotiated_dict() const noexcept { return v3_limits_; }
+  bxsa::DictLimits negotiated_dict() const noexcept {
+    return v3_ ? v3_->terms().dict : bxsa::DictLimits{0, 0};
+  }
 
   /// Metric sinks for this channel's dictionary work (both directions).
   void set_dict_stats(const bxsa::DictStats& stats) noexcept {
-    dict_stats_ = stats;
+    ep_->dict_stats = stats;
   }
 
   /// Ceilings applied to incoming frames (see transport/framing.hpp).
-  void set_frame_limits(FrameLimits limits) noexcept { limits_ = limits; }
+  void set_frame_limits(FrameLimits limits) noexcept { ep_->limits = limits; }
 
   /// Recycle receive buffers (and sent payloads) through `pool`; defaults
   /// to the process-wide pool.
-  void set_buffer_pool(BufferPool& pool) noexcept { pool_ = &pool; }
+  void set_buffer_pool(BufferPool& pool) noexcept { ep_->pool = &pool; }
 
   /// Tally this connection's bytes/syscalls into `io` (obs/metrics.hpp).
   void set_io_stats(obs::IoStats* io) noexcept {
@@ -326,29 +303,19 @@ class TcpClientBinding {
     // exchange on it); a pre-v3 server cuts the connection, which
     // surfaces as TransportError — downgrade for good and redial plain.
     try {
-      HelloFrame hello;
-      hello.dict_max_entries = dict_offer_.max_entries;
-      hello.dict_max_bytes = dict_offer_.max_bytes;
-      hello.transforms = compress_offer_;
-      hello.auth = stream_auth_.algos;
-      write_hello(stream_, hello);
-      FrameAssembler parser(limits_, pool_, /*accept_v3=*/true);
+      write_hello(stream_, {.dict_max_entries = offer_.dict.max_entries,
+                            .dict_max_bytes = offer_.dict.max_bytes,
+                            .transforms = offer_.transforms,
+                            .auth = offer_.auth});
+      FrameAssembler parser(ep_->limits, ep_->pool, /*accept_v3=*/true);
       receive_until(parser, [&] { return parser.at_body(); });
       const AcceptFrame accept = parser.take_accept();
       if (accept.version == kFrameVersionNegotiated) {
-        v3_active_ = true;
-        v3_limits_ = bxsa::DictLimits{accept.dict_max_entries,
-                                      accept.dict_max_bytes};
-        // Re-intersect with our own offer: a server granting transforms we
-        // never offered must not make us accept (or emit) them.
-        transforms_ = accept.transforms & compress_offer_;
-        // Same for auth: the effective algorithm is the lowest bit of the
-        // double-checked intersection (0 = this channel runs unsigned).
-        auth_algo_ = authalgs::pick(accept.auth & stream_auth_.algos);
-        if (v3_limits_.max_entries > 0) {
-          enc_dict_.emplace(v3_limits_);
-          dec_dict_.emplace(v3_limits_);
-        }
+        // Negotiated against our offer: a server cannot grant more.
+        v3_.emplace(negotiate_v3(offer_, {{accept.dict_max_entries,
+                                           accept.dict_max_bytes},
+                                          accept.transforms, accept.auth}),
+                    *ep_);
       } else {
         // The server parsed the Hello but chose v1: it will never choose
         // otherwise, so stop probing.
@@ -366,7 +333,8 @@ class TcpClientBinding {
     stream_ = TcpStream::connect(port_);
     stream_.set_io_stats(io_);
     stream_.set_no_delay(true);
-    rx_buf_ = pool_->acquire(kRecvBufferBytes);
+    v3_.reset();  // per-connection state dies with the connection
+    rx_buf_ = ep_->pool->acquire(kRecvBufferBytes);
     rx_buf_.resize(kRecvBufferBytes);
     rx_begin_ = rx_end_ = 0;
   }
@@ -398,17 +366,6 @@ class TcpClientBinding {
     }
   }
 
-  /// Per-connection v3 state dies with the connection (the server builds
-  /// fresh tables per connection too); only the downgrade flag is sticky.
-  void reset_v3_session() noexcept {
-    v3_active_ = false;
-    v3_limits_ = bxsa::DictLimits{0, 0};
-    transforms_ = 0;
-    auth_algo_ = 0;
-    enc_dict_.reset();
-    dec_dict_.reset();
-  }
-
   std::uint16_t port_;
   TcpStream stream_;
   // Pooled receive buffer of the current connection; bytes
@@ -416,29 +373,14 @@ class TcpClientBinding {
   std::vector<std::uint8_t> rx_buf_;
   std::size_t rx_begin_ = 0;
   std::size_t rx_end_ = 0;
-  FrameLimits limits_{};
   obs::IoStats* io_ = nullptr;
-  BufferPool* pool_ = &BufferPool::global();
-  // BXTP v3 channel state (see the class comment).
+  // Boxed, so the channel's pointer at it survives moving the binding.
+  std::unique_ptr<V3Endpoint> ep_ = std::make_unique<V3Endpoint>();
+  // BXTP v3 (see the class comment).
   bool v3_enabled_ = false;
-  bool v3_failed_ = false;   // sticky: never probe this binding again
-  bool v3_active_ = false;   // the CURRENT connection negotiated v3
-  bxsa::DictLimits dict_offer_{};
-  bxsa::DictLimits v3_limits_{0, 0};
-  std::optional<bxsa::DictEncoder> enc_dict_;
-  std::optional<bxsa::DictDecoder> dec_dict_;
-  bxsa::DictStats dict_stats_{};
-  // Adaptive compression state: the sticky offer, the CURRENT connection's
-  // negotiated set, and the encode-side policy/counters.
-  std::uint8_t compress_offer_ = 0;
-  std::uint8_t transforms_ = 0;
-  CompressPolicy compress_policy_{};
-  CompressStats compress_stats_{};
-  // Stream authentication state: the sticky offer, the CURRENT
-  // connection's negotiated algorithm, and the shared sec.* counters.
-  StreamAuth stream_auth_{};
-  std::uint8_t auth_algo_ = 0;
-  AuthStats auth_stats_{};
+  bool v3_failed_ = false;  // sticky: never probe this binding again
+  V3Terms offer_{bxsa::DictLimits{}, 0, 0};
+  std::optional<V3Channel> v3_;
 };
 
 /// Server endpoint of SOAP-over-TCP: accepts one connection at a time and

@@ -36,18 +36,19 @@ SoapEventServer::SoapEventServer(ServerConfig config)
       stream_chunk_bytes_(config.stream_chunk_bytes),
       buffer_pool_(config.buffer_pool),
       read_timeout_ms_(config.read_timeout_ms),
-      frame_limits_(config.frame_limits),
       max_connections_(config.max_connections),
       drain_timeout_(config.drain_timeout),
       max_queue_depth_(config.max_queue_depth),
       max_inflight_per_conn_(config.max_inflight_per_conn),
       accept_v3_(config.accept_v3),
-      dict_limits_(config.dict_limits),
-      compress_transforms_(config.compress_transforms),
-      compress_policy_(config.compress_policy),
-      stream_auth_(std::move(config.stream_auth)) {
-  dict_capable_ =
-      encoding_->content_type() == soap::BxsaEncoding::content_type();
+      // Only plain BXSA payloads can be dictionary-coded, so any other
+      // encoding offers no table and a client never codes at us in vain.
+      v3_offer_{encoding_->content_type() == soap::BxsaEncoding::content_type()
+                    ? config.dict_limits
+                    : bxsa::DictLimits{0, 0},
+                config.compress_transforms, config.stream_auth.algos},
+      endpoint_{config.frame_limits, &buffer_pool_, config.compress_policy,
+                std::move(config.stream_auth)} {
   if (max_queue_depth_ > 0 || max_inflight_per_conn_ > 0) {
     // Shedding happens on reactor threads, which must never pay for a
     // serialize: the Overloaded fault frame is a constant, built once.
@@ -96,18 +97,18 @@ SoapEventServer::SoapEventServer(ServerConfig config)
                                  &reg->counter(prefix + ".pool.miss"),
                                  &reg->counter(prefix + ".pool.recycled_bytes"));
     encoding_->set_codec_stats(&reg->codec(prefix + ".bxsa"));
-    dict_stats_.entries = &reg->counter(prefix + ".dict.entries");
-    dict_stats_.bytes_saved = &reg->counter(prefix + ".dict.bytes_saved");
-    dict_stats_.resets = &reg->counter(prefix + ".dict.resets");
-    compress_stats_.chunks = &reg->counter(prefix + ".compress.chunks");
-    compress_stats_.skipped = &reg->counter(prefix + ".compress.skipped");
-    compress_stats_.bytes_in = &reg->counter(prefix + ".compress.bytes_in");
-    compress_stats_.bytes_out = &reg->counter(prefix + ".compress.bytes_out");
-    compress_stats_.ns = &reg->counter(prefix + ".compress.ns");
-    auth_stats_.bytes_authenticated =
-        &reg->counter(prefix + ".sec.bytes_authenticated");
-    auth_stats_.tag_failures = &reg->counter(prefix + ".sec.tag_failures");
-    auth_stats_.verify_ns = &reg->counter(prefix + ".sec.verify.ns");
+    endpoint_.dict_stats = {&reg->counter(prefix + ".dict.entries"),
+                            &reg->counter(prefix + ".dict.bytes_saved"),
+                            &reg->counter(prefix + ".dict.resets")};
+    endpoint_.compress_stats = {&reg->counter(prefix + ".compress.chunks"),
+                                &reg->counter(prefix + ".compress.skipped"),
+                                &reg->counter(prefix + ".compress.bytes_in"),
+                                &reg->counter(prefix + ".compress.bytes_out"),
+                                &reg->counter(prefix + ".compress.ns")};
+    endpoint_.auth_stats = {
+        &reg->counter(prefix + ".sec.bytes_authenticated"),
+        &reg->counter(prefix + ".sec.tag_failures"),
+        &reg->counter(prefix + ".sec.verify.ns")};
   }
   if (!config.idempotent_ops.empty()) {
     ResponseCache::Stats cache_stats;
@@ -384,7 +385,7 @@ void SoapEventServer::accept_ready(Reactor& r) {
 }
 
 void SoapEventServer::adopt(Reactor& r, TcpStream stream) {
-  auto conn = std::make_shared<Conn>(std::move(stream), frame_limits_,
+  auto conn = std::make_shared<Conn>(std::move(stream), endpoint_.limits,
                                      &buffer_pool_, accept_v3_);
   conn->owner = &r;
   conn->last_activity = std::chrono::steady_clock::now();
@@ -543,12 +544,24 @@ bool SoapEventServer::pump(const std::shared_ptr<Conn>& conn,
             return false;
           }
         } else if (conn->assembler.need() == 0) {
-          break;  // a request (or an Accept, which take_request refuses)
+          break;  // a request (or an Accept, which take() refuses)
         } else if (data.empty()) {
           return true;
         }
       }
-      request = take_request(conn);
+      // Flags are latched before take() resets the assembler. Frames leave
+      // it in wire order on this (the owning) reactor — the order the
+      // mirrored table requires — so the rest of the server, the response
+      // cache included, sees canonical bytes; a desync throws, which cuts
+      // the connection.
+      const std::uint8_t flags = conn->assembler.frame_flags();
+      request = conn->assembler.take();
+      if (conn->v3) {
+        request.payload = conn->v3->unframe(std::move(request.payload), flags);
+      } else if (flags != 0) {
+        throw TransportError("v3 message flags on a connection without a "
+                             "negotiated channel");
+      }
     }
     admit(conn, std::move(request), arrived);
     // take() left the assembler empty, so no more input means no frame.
@@ -564,49 +577,18 @@ void SoapEventServer::answer_hello(const std::shared_ptr<Conn>& conn) {
   if (conn->v3 || conn->next_seq != 0) {
     throw TransportError("Hello on a connection already in use");
   }
-  AcceptFrame accept;
+  // A peer that probed with v3 framing but cannot speak it is answered
+  // with v1 and kept on plain frames.
+  AcceptFrame accept{kFrameVersion};
   if (hello.max_version >= kFrameVersionNegotiated) {
-    // Effective table: the element-wise min of both offers — forced to
-    // empty when this server's payloads are not plain BXSA, so the client
-    // never dictionary-codes at us in vain.
-    bxsa::DictLimits eff{0, 0};
-    if (dict_capable_) {
-      eff = dict_limits_.min_with(
-          {hello.dict_max_entries, hello.dict_max_bytes});
-    }
-    accept.version = kFrameVersionNegotiated;
-    accept.dict_max_entries = eff.max_entries;
-    accept.dict_max_bytes = eff.max_bytes;
-    // Transform set: the intersection of both offers. The assembler
-    // decompresses incoming chunks itself, so it learns the set too.
-    accept.transforms = compress_transforms_ & hello.transforms;
-    conn->transforms = accept.transforms;
-    conn->assembler.set_transforms(accept.transforms);
-    // Stream authentication: the intersection of both offers; the
-    // effective algorithm is its lowest set bit. The assembler owns the
-    // receive side — it absorbs surfaced chunks and verifies the Auth
-    // trailer in wire order on this (the owning) reactor.
-    accept.auth =
-        stream_auth_ ? (stream_auth_.algos & hello.auth) : std::uint8_t{0};
-    conn->auth_algo = authalgs::pick(accept.auth);
-    if (conn->auth_algo != 0) {
-      conn->rx_auth = stream_auth_.make(conn->auth_algo);
-      if (conn->rx_auth == nullptr) {
-        throw TransportError(
-            "stream auth cannot build the negotiated algorithm");
-      }
-      conn->assembler.set_auth(conn->rx_auth.get(), conn->auth_algo,
-                               auth_stats_);
-    }
-    conn->v3 = true;
-    if (eff.max_entries > 0) {
-      conn->req_dict.emplace(eff);
-      conn->resp_dict.emplace(eff);
-    }
-  } else {
-    // The peer probed with v3 framing but cannot speak it; answer with v1
-    // and keep serving plain frames.
-    accept.version = kFrameVersion;
+    const V3Terms t = negotiate_v3(
+        v3_offer_, {{hello.dict_max_entries, hello.dict_max_bytes},
+                    hello.transforms, hello.auth});
+    accept = {kFrameVersionNegotiated, t.dict.max_entries, t.dict.max_bytes,
+              t.transforms, t.auth};
+    // The assembler decompresses and verifies incoming chunks itself, in
+    // wire order on this (the owning) reactor.
+    conn->v3.emplace(t, endpoint_).arm(conn->assembler);
   }
   ByteWriter reply(buffer_pool_.acquire(64));
   encode_accept(reply, accept);
@@ -615,23 +597,6 @@ void SoapEventServer::answer_hello(const std::shared_ptr<Conn>& conn) {
     conn->outbox.push_back(reply.take());
   }
   conn->flush_pending = true;
-}
-
-soap::WireMessage SoapEventServer::take_request(
-    const std::shared_ptr<Conn>& conn) {
-  // Flags are latched before take() resets the assembler's state. take()
-  // also refuses an Accept: only a client may receive one.
-  const std::uint8_t flags = conn->assembler.frame_flags();
-  soap::WireMessage request = conn->assembler.take();
-  // Frames leave the assembler in wire order on this (the owning) reactor
-  // — exactly the order the mirrored table requires, and before the
-  // request's arrival order is handed to any worker. Decompression runs
-  // first, so the dictionary — and the response cache — see canonical
-  // bytes; a desync throws, which cuts the connection.
-  request.payload = unframe_v3_payload(
-      std::move(request.payload), flags, conn->req_dict, conn->transforms,
-      frame_limits_, buffer_pool_, dict_stats_);
-  return request;
 }
 
 void SoapEventServer::admit(const std::shared_ptr<Conn>& conn,
@@ -1042,7 +1007,7 @@ bool SoapEventServer::serve(Job job) {
   // Safe to read off-reactor: set while handling the Hello, before any
   // request of the connection could be queued (the jobs_mu_ handoff orders
   // the write against a worker's read; inline, it is the same thread).
-  const bool v3 = job.conn->v3;
+  const bool v3 = job.conn->v3.has_value();
   // Idempotent-response cache: a byte-identical repeat of a declared
   // idempotent request is answered straight from the cached canonical
   // payload — no deserialize, no handler, no serialize. The job already
@@ -1166,11 +1131,9 @@ void SoapEventServer::release_ready_locked(Conn& conn) {
       // BXTP v3 response: frame (and dictionary-code) the canonical
       // payload HERE, where responses are back in wire order — the only
       // order the client's mirrored table can follow. Runs under conn.mu,
-      // which serializes every writer of resp_dict.
+      // which serializes every use of the send table.
       ByteWriter framed(buffer_pool_.acquire(c.bytes.size() + 64));
-      frame_v3_payload(framed, c.bytes, encoding_->content_type(),
-                       conn.resp_dict, dict_stats_, conn.transforms,
-                       compress_policy_, &buffer_pool_, compress_stats_);
+      conn.v3->frame(framed, c.bytes, encoding_->content_type());
       buffer_pool_.release(std::move(c.bytes));
       conn.outbox.push_back(framed.take());
     }
@@ -1291,17 +1254,6 @@ void SoapEventServer::stream_main(std::shared_ptr<Conn> conn,
     }
     void finish() override { encoder.finish(enqueue()); }
   } sink(this, conn, st.get());
-  sink.encoder.set_compression(
-      {conn->transforms, compress_policy_, &buffer_pool_, compress_stats_});
-
-  // Signed stream: the response gets its own per-stream authenticator
-  // (the negotiated algorithm was proven buildable at Hello time).
-  if (conn->auth_algo != 0) {
-    tx_auth = stream_auth_.make(conn->auth_algo);
-    if (tx_auth != nullptr) {
-      sink.encoder.set_auth(tx_auth.get(), conn->auth_algo, auth_stats_);
-    }
-  }
 
   StreamRequest request(st->content_type, source);
   ResponseWriter response(sink, buffer_pool_, stream_chunk_bytes_,
@@ -1310,6 +1262,9 @@ void SoapEventServer::stream_main(std::shared_ptr<Conn> conn,
   bool faulted = false;
   bool torn = false;
   try {
+    // A negotiated stream compresses, and a signed one gets its own
+    // per-stream authenticator.
+    if (conn->v3) tx_auth = conn->v3->arm(sink.encoder);
     stream_handler_(request, response);
     if (!response.finished()) response.finish();
     // An unread request tail would starve the parked connection forever;

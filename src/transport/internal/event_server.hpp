@@ -107,7 +107,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bxsa/dict.hpp"
 #include "obs/observer.hpp"
 #include "soap/any_engine.hpp"
 #include "soap/envelope.hpp"
@@ -116,6 +115,7 @@
 #include "transport/server.hpp"
 #include "transport/socket.hpp"
 #include "transport/stream.hpp"
+#include "transport/v3_channel.hpp"
 
 namespace bxsoap::transport {
 
@@ -229,27 +229,12 @@ class SoapEventServer : public SoapServer {
     /// caller flushes before going back to epoll_wait.
     bool flush_pending = false;
 
-    /// BXTP v3 (FORMAT.md §"BXTP v3"). `v3` is written by the owning
-    /// reactor while handling the Hello — before any request of this
-    /// connection can be dispatched — and read by workers afterwards; the
-    /// job queue handoff (jobs_mu_) orders the two. req_dict is
-    /// reactor-only: frames leave the assembler in wire order on the
-    /// owning reactor, which is exactly the order the mirror table needs.
-    /// resp_dict is touched only in release_ready_locked under `mu`,
-    /// where responses are already serialized back into wire order.
-    bool v3 = false;
-    /// Negotiated compression set (0 = plain). Written with `v3` while
-    /// handling the Hello; same ordering argument covers worker reads.
-    std::uint8_t transforms = 0;
-    /// Negotiated stream-auth algorithm (0 = unsigned). Written with `v3`
-    /// while handling the Hello; stream threads read it after begin_stream,
-    /// which the same job-queue/flush handoff orders. rx_auth is
-    /// reactor-only: the assembler absorbs and verifies request chunks in
-    /// wire order on the owning reactor thread.
-    std::uint8_t auth_algo = 0;
-    std::unique_ptr<StreamAuthenticator> rx_auth;
-    std::optional<bxsa::DictDecoder> req_dict;
-    std::optional<bxsa::DictEncoder> resp_dict;
+    /// BXTP v3, engaged by the owning reactor at the Hello, before any
+    /// request of this connection is dispatched; the job queue and flush
+    /// handoffs order that write against workers and stream threads. Its
+    /// receive side is reactor-only (the assembler yields wire order); its
+    /// send table is touched only in release_ready_locked under `mu`.
+    std::optional<V3Channel> v3;
 
     std::mutex mu;
     /// Responses completed out of order, keyed by request sequence.
@@ -322,9 +307,6 @@ class SoapEventServer : public SoapServer {
   /// BXTP v3 handshake: negotiate from the assembled Hello and queue the
   /// Accept ahead of every response (flushed by the pump's caller).
   void answer_hello(const std::shared_ptr<Conn>& conn);
-  /// Take the assembled request and undo its v3 transforms (decompress,
-  /// then dictionary-decode) so the rest of the server sees canonical bytes.
-  soap::WireMessage take_request(const std::shared_ptr<Conn>& conn);
   /// Admission control for one assembled request, then dispatch: serve it
   /// inline or queue it to the workers.
   void admit(const std::shared_ptr<Conn>& conn, soap::WireMessage request,
@@ -386,7 +368,6 @@ class SoapEventServer : public SoapServer {
   /// One listener in accept-assign mode; one per reactor with reuse_port.
   std::vector<TcpListener> listeners_;
   int read_timeout_ms_ = 0;
-  FrameLimits frame_limits_{};
   std::size_t max_connections_ = 0;
   std::chrono::milliseconds drain_timeout_{1000};
 
@@ -395,22 +376,11 @@ class SoapEventServer : public SoapServer {
   std::size_t max_queue_depth_ = 0;
   std::size_t max_inflight_per_conn_ = 0;
   std::vector<std::uint8_t> shed_frame_;
-  /// BXTP v3 (FORMAT.md §"BXTP v3"): Hello handling switch, this server's
-  /// dictionary offer, and whether the encoding emits plain BXSA (the only
-  /// payload form the dictionary transform applies to).
+  /// BXTP v3: the Hello handling switch, this server's offer, and what
+  /// every connection's channel borrows (frame limits included).
   bool accept_v3_ = true;
-  bool dict_capable_ = false;
-  bxsa::DictLimits dict_limits_{};
-  bxsa::DictStats dict_stats_{};  // dict.{entries,bytes_saved,resets}
-  /// Adaptive per-chunk compression: this server's transform offer, the
-  /// entropy-probe policy, and the compress.* counters.
-  std::uint8_t compress_transforms_ = 0;
-  CompressPolicy compress_policy_{};
-  CompressStats compress_stats_{};
-  /// Streaming authentication: this server's algorithm offer and the
-  /// sec.* counters.
-  StreamAuth stream_auth_{};
-  AuthStats auth_stats_{};
+  V3Terms v3_offer_;
+  V3Endpoint endpoint_;
   /// Idempotent-response cache; engaged only when the config declares
   /// idempotent operations.
   std::optional<ResponseCache> respcache_;
