@@ -206,10 +206,15 @@ class ByteReader {
 
  private:
   void require(std::size_t n) const {
-    if (remaining() < n) {
-      throw DecodeError("unexpected end of input (need " + std::to_string(n) +
-                        " bytes, have " + std::to_string(remaining()) + ")");
-    }
+    if (remaining() < n) throw_short(n);
+  }
+
+  // Out of line: inlined into read_u8 and the like, the throw's string
+  // building led GCC 12 to -Warray-bounds on the read it guards.
+  [[noreturn, gnu::cold, gnu::noinline]] void throw_short(
+      std::size_t n) const {
+    throw DecodeError("unexpected end of input (need " + std::to_string(n) +
+                      " bytes, have " + std::to_string(remaining()) + ")");
   }
 
   std::span<const std::uint8_t> data_;

@@ -59,7 +59,8 @@ class CompressedEncoding {
     return {kContentType.data(), kContentType.size()};
   }
 
-  explicit CompressedEncoding(Inner inner = {}) : inner_(std::move(inner)) {}
+  CompressedEncoding() = default;
+  explicit CompressedEncoding(Inner inner) : inner_(std::move(inner)) {}
 
   std::vector<std::uint8_t> serialize(const xdm::Document& doc) const {
     return lzss_compress(inner_.serialize(doc));

@@ -122,8 +122,10 @@ class BxsaEncoding {
     return "application/bxsa";
   }
 
-  explicit BxsaEncoding(ByteOrder order = host_byte_order())
-      : order_(order) {}
+  // Not explicit, so `{}` initializes one (SoapEngine's `Enc encoding =
+  // {}`); choosing a byte order must be spelled out.
+  BxsaEncoding() : BxsaEncoding(host_byte_order()) {}
+  explicit BxsaEncoding(ByteOrder order) : order_(order) {}
 
   /// Tally codec work (frames by type, symbol-table hits) into `stats`
   /// (obs/metrics.hpp, typically Registry::codec("bxsa")). Null detaches.
