@@ -5,6 +5,7 @@
 
 #include "common/endian.hpp"
 #include "common/vls.hpp"
+#include "transport/framing.hpp"
 
 namespace bxsoap::transport {
 
@@ -105,8 +106,12 @@ soap::WireMessage StripedChannel::receive() {
   streams_[0].read_exact(len_be, sizeof(len_be));
   const std::uint64_t payload_len =
       load<std::uint64_t>(len_be, ByteOrder::kBig);
-  if (payload_len > (1ull << 33)) {
-    throw TransportError("striped: payload larger than 8 GiB refused");
+  // Checked before sizing anything: a corrupt or hostile length never
+  // reaches the allocator.
+  if (payload_len > kDefaultMaxMessageBytes) {
+    throw TransportError("striped: payload of " +
+                         std::to_string(payload_len) +
+                         " bytes exceeds the message limit");
   }
   m.payload.resize(static_cast<std::size_t>(payload_len));
   if (payload_len == 0) return m;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "common/prng.hpp"
+#include "common/vls.hpp"
+#include "transport/framing.hpp"
 #include "services/verification.hpp"
 #include "soap/engine.hpp"
 #include "workload/lead.hpp"
@@ -111,6 +114,39 @@ TEST(StripedBinding, OverflowingContentTypeVlsIsRejected) {
   streams.push_back(TcpStream::connect(listener.port()));
   detail::StripedChannel channel(std::move(streams));
   EXPECT_THROW(channel.receive(), TransportError);
+  peer.join();
+}
+
+TEST(StripedBinding, OverLimitPayloadLengthIsRejectedBeforeSizing) {
+  // A peer declares one byte more than the message limit and then holds
+  // the connection open: the receiver must refuse the length at once,
+  // not size a buffer for it and wait for bytes that never come.
+  TcpListener listener(0);
+  std::thread peer([&] {
+    TcpStream conn = listener.accept();
+    ByteWriter w;
+    w.write_bytes("BXSM", 4);
+    vls_write(w, 2);
+    w.write_string("ct");
+    w.write<std::uint64_t>(kDefaultMaxMessageBytes + 1, ByteOrder::kBig);
+    conn.write_all(w.bytes());
+    try {
+      std::uint8_t byte;
+      conn.read_exact(&byte, 1);  // until the receiver hangs up
+    } catch (const TransportError&) {
+    }
+  });
+  std::vector<TcpStream> streams;
+  streams.push_back(TcpStream::connect(listener.port()));
+  streams.front().set_read_timeout(5000);  // a hang detector only
+  {
+    detail::StripedChannel channel(std::move(streams));
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW(channel.receive(), TransportError);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(2500))
+        << "refused only by the read timeout";
+  }
   peer.join();
 }
 
