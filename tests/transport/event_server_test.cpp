@@ -98,10 +98,17 @@ TEST(EventServer, PipelinedRequestsAnswerInOrder) {
   auto server = make_server(&registry);
   constexpr std::size_t kRequests = 16;
 
-  TcpStream conn = TcpStream::connect(server->port());
+  // One write carries every frame, so the reactor's reads find several
+  // at once however the threads are scheduled.
+  ByteWriter burst;
   for (std::size_t i = 0; i < kRequests; ++i) {
-    write_frame(conn, encode_request(10 + i));
+    const soap::WireMessage m = encode_request(10 + i);
+    const std::size_t len_pos = begin_frame(burst, m.content_type);
+    burst.write_bytes(m.payload);
+    end_frame(burst, len_pos);
   }
+  TcpStream conn = TcpStream::connect(server->port());
+  conn.write_all(burst.bytes());
   for (std::size_t i = 0; i < kRequests; ++i) {
     const auto outcome = decode_response(read_frame(conn));
     EXPECT_TRUE(outcome.ok);
