@@ -58,7 +58,8 @@ echo "== ctest (tsan: buffer pool + event server + streaming) =="
 # ReliableCaller retry budget and circuit breaker, deadline propagation
 # into handler threads), the engine chaos matrix against a live server,
 # the BXTP v3 surfaces (per-connection dictionary state vs reactor/worker
-# handoffs, the sharded response cache hammered from pooled channels), the
+# handoffs, the sharded response cache hammered from pooled channels, the
+# negotiation matrix and the over-grant clamp), the
 # negotiated-compression surfaces (per-connection transform state read by
 # stream/worker threads, shared CompressStats counters, the chunk
 # compress/decompress paths in the server and the channel pool), and the
@@ -73,7 +74,7 @@ echo "== ctest (tsan: buffer pool + event server + streaming) =="
 # pool's conservation over gathered bulk calls). Every server-side suite
 # runs on both dispatch legs: a worker pool and inline on the reactors.
 (cd build-tsan && TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  ctest -R 'BufferPool\.|SharedBuffer\.|ServerConfig|EventServer|EventShard|ChannelPool|Streaming|StreamChaos|EngineChaos|Overload|ExpiredDrop|DeadlineContext|ReliableCaller|RespCache|V3Negotiation|DictChannel|V3Chaos|CompressChannel|CompressChaos|Shuffle|SignedStream|ChunkStreamDiff|BorrowedEncode|WriteVectored|ReadInPlace|GatherSend' \
+  ctest -R 'BufferPool\.|SharedBuffer\.|ServerConfig|EventServer|EventShard|ChannelPool|Streaming|StreamChaos|EngineChaos|Overload|ExpiredDrop|DeadlineContext|ReliableCaller|RespCache|V3Negotiation|V3Matrix|V3OverGrant|DictChannel|V3Chaos|CompressChannel|CompressChaos|Shuffle|SignedStream|ChunkStreamDiff|BorrowedEncode|WriteVectored|ReadInPlace|GatherSend' \
   --output-on-failure -j "$jobs")
 
 echo "== overload chaos gate (tsan, retry storms + saturated sheds) =="
