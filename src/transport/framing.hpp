@@ -353,41 +353,6 @@ inline void frame_v3_payload(ByteWriter& out,
   out.patch_bytes(base + 4 + 1 + 1, &flags, 1);
 }
 
-/// The receive-side inverse of frame_v3_payload: decompress a kCompressed
-/// payload (legal only on a channel that negotiated `transforms`), then
-/// run a kDictEncoded one through the channel's mirrored table `dict`.
-/// v1 frames and plain v3 payloads (flags 0) pass through untouched.
-/// Replaced buffers are recycled into `pool`. A dictionary desync poisons
-/// every later message on the channel, so it surfaces as TransportError:
-/// the server cuts the connection, the client's retry layer redials with
-/// fresh tables.
-inline std::vector<std::uint8_t> unframe_v3_payload(
-    std::vector<std::uint8_t> payload, std::uint8_t flags,
-    std::optional<bxsa::DictDecoder>& dict, std::uint8_t transforms,
-    const FrameLimits& limits, BufferPool& pool,
-    const bxsa::DictStats& stats = {}) {
-  if ((flags & v3flags::kCompressed) != 0) {
-    std::vector<std::uint8_t> plain =
-        decompress_body(payload, transforms, limits.max_message_bytes, pool);
-    pool.release(std::move(payload));
-    payload = std::move(plain);
-  }
-  if ((flags & v3flags::kDictEncoded) == 0) return payload;
-  if (!dict) {
-    throw TransportError(
-        "dictionary-coded message without a negotiated table");
-  }
-  ByteWriter plain(pool.acquire(payload.size() + 64));
-  try {
-    dict->decode(payload, (flags & v3flags::kDictReset) != 0, plain, stats);
-  } catch (const DecodeError& e) {
-    throw TransportError(std::string("dictionary decode failed: ") +
-                         e.what());
-  }
-  pool.release(std::move(payload));
-  return plain.take();
-}
-
 /// Append the magic, version and kind that open a v3 Hello or Accept.
 inline void write_control_header(ByteWriter& w, V3FrameKind kind) {
   w.write_bytes(kFrameMagic, sizeof(kFrameMagic));
@@ -661,7 +626,7 @@ class FrameAssembler {
 
   /// Admit kCompressedData chunks (a negotiated transform set); they
   /// decompress on take and surface as plain kData chunks. v3 kCompressed
-  /// MESSAGE payloads are unframe_v3_payload's job.
+  /// MESSAGE payloads are V3Channel::unframe's job (v3_channel.hpp).
   void set_transforms(std::uint8_t transforms) { transforms_ = transforms; }
 
   /// Require and verify an Auth trailer on every chunked stream (a
