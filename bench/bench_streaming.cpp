@@ -174,9 +174,14 @@ int main(int argc, char** argv) {
     ServerConfig cfg;
     cfg.encoding = AnyEncoding::from(BxsaEncoding{});
     cfg.handler = [](SoapEnvelope env) { return env; };
-    cfg.stream_handler = [](StreamRequest& req, ResponseWriter& resp) {
-      while (auto c = req.next_chunk()) resp.write_chunk(std::move(*c));
-      resp.finish();
+    struct Echo final : StreamCallbacks {
+      void on_chunk(StreamChunk chunk, ResponseWriter& out) override {
+        out.write_chunk(std::move(chunk));
+      }
+      void on_end(ResponseWriter& out) override { out.finish(); }
+    };
+    cfg.stream_handler = [](const std::string&) {
+      return std::make_unique<Echo>();
     };
     cfg.stream_chunk_bytes = kChunk;
     cfg.frame_limits = wide_limits();

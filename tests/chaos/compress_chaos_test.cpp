@@ -25,9 +25,15 @@ namespace {
 
 using namespace bxsoap::soap;
 
-void echo_stream(StreamRequest& req, ResponseWriter& resp) {
-  while (auto c = req.next_chunk()) resp.write_chunk(std::move(*c));
-  resp.finish();
+struct EchoStream final : StreamCallbacks {
+  void on_chunk(StreamChunk chunk, ResponseWriter& out) override {
+    out.write_chunk(std::move(chunk));
+  }
+  void on_end(ResponseWriter& out) override { out.finish(); }
+};
+
+std::unique_ptr<StreamCallbacks> echo_stream(const std::string&) {
+  return std::make_unique<EchoStream>();
 }
 
 class CompressChaos : public ::testing::TestWithParam<ServerLeg> {

@@ -92,13 +92,21 @@ struct ChaosServer {
     ServerConfig cfg;
     cfg.encoding = AnyEncoding::from(BxsaEncoding{});
     cfg.handler = [](SoapEnvelope env) { return env; };
-    auto seen = end_seen;
-    cfg.stream_handler = [seen](StreamRequest& req, ResponseWriter& resp) {
-      while (auto c = req.next_chunk()) resp.write_chunk(std::move(*c));
-      // next_chunk() returned nullopt: the framing layer surfaced End,
-      // which on a signed stream means the trailer already verified.
-      seen->store(true, std::memory_order_release);
-      resp.finish();
+    struct Echo final : StreamCallbacks {
+      explicit Echo(std::shared_ptr<std::atomic<bool>> s) : seen(std::move(s)) {}
+      void on_chunk(StreamChunk chunk, ResponseWriter& out) override {
+        out.write_chunk(std::move(chunk));
+      }
+      void on_end(ResponseWriter& out) override {
+        // The framing layer surfaced End, which on a signed stream means
+        // the trailer already verified.
+        seen->store(true, std::memory_order_release);
+        out.finish();
+      }
+      std::shared_ptr<std::atomic<bool>> seen;
+    };
+    cfg.stream_handler = [seen = end_seen](const std::string&) {
+      return std::make_unique<Echo>(seen);
     };
     cfg.stream_chunk_bytes = 1024;
     cfg.read_timeout_ms = 400;

@@ -40,7 +40,9 @@ TEST(ServerConfig, MissingHandlersAreRejected) {
   EXPECT_NE(cfg.validate().find("handler"),
             std::string::npos);
   // Either handler alone is enough.
-  cfg.stream_handler = [](StreamRequest&, ResponseWriter&) {};
+  cfg.stream_handler = [](const std::string&) {
+    return std::unique_ptr<StreamCallbacks>();
+  };
   EXPECT_EQ(cfg.validate(), "");
 }
 

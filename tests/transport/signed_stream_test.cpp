@@ -29,11 +29,15 @@ using namespace bxsoap::soap;
 
 constexpr std::size_t kChunk = 64 * 1024;
 
-void echo_handler(StreamRequest& req, ResponseWriter& resp) {
-  while (auto c = req.next_chunk()) {
-    resp.write_chunk(std::move(*c));
+struct EchoStream final : StreamCallbacks {
+  void on_chunk(StreamChunk chunk, ResponseWriter& out) override {
+    out.write_chunk(std::move(chunk));
   }
-  resp.finish();
+  void on_end(ResponseWriter& out) override { out.finish(); }
+};
+
+std::unique_ptr<StreamCallbacks> echo_handler(const std::string&) {
+  return std::make_unique<EchoStream>();
 }
 
 ServerConfig make_config(obs::Registry* registry, const std::string& prefix,

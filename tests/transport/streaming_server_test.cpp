@@ -1,5 +1,5 @@
 // End-to-end tests of the streaming message path (DESIGN.md §11) through
-// the SoapServer interface: the same StreamHandler served on both
+// the SoapServer interface: the same stream handler served on both
 // dispatch legs, echo and typed round trips, the in-band fault
 // fallback, and the bounded-memory contract verified via the
 // stream.buffered_bytes waterline.
@@ -33,11 +33,15 @@ constexpr std::size_t kChunk = 64 * 1024;
 
 /// Pass-through echo: forwards every chunk (data and patch alike) without
 /// decoding, the relay style the API is designed to make trivial.
-void echo_handler(StreamRequest& req, ResponseWriter& resp) {
-  while (auto c = req.next_chunk()) {
-    resp.write_chunk(std::move(*c));
+struct EchoStream : StreamCallbacks {
+  void on_chunk(StreamChunk chunk, ResponseWriter& out) override {
+    out.write_chunk(std::move(chunk));
   }
-  resp.finish();
+  void on_end(ResponseWriter& out) override { out.finish(); }
+};
+
+std::unique_ptr<StreamCallbacks> echo_handler(const std::string&) {
+  return std::make_unique<EchoStream>();
 }
 
 ServerConfig make_config(obs::Registry* registry,
@@ -113,25 +117,41 @@ TEST_P(StreamingServer, TypedStreamedCallRoundTrips) {
   // Server: assemble the streamed request (opting into message-sized
   // memory — fine, this test is small), decode it, then stream back a
   // response through the encoding's chunk-mode writer.
-  StreamHandler typed = [](StreamRequest& req, ResponseWriter& resp) {
-    SharedBuffer wire = req.assemble(resp.pool());
-    const DocumentPtr doc = bxsa::decode_document(wire.bytes());
-    const auto& root = static_cast<const Element&>(doc->root());
-    const auto* arr =
-        dynamic_cast<const ArrayElement<double>*>(root.find_child("values"));
-    ASSERT_NE(arr, nullptr);
-    double sum = 0;
-    for (double v : arr->values()) sum += v;
+  struct Typed final : StreamCallbacks {
+    std::vector<std::uint8_t> wire;
+    std::vector<bxsa::PatchRecord> patches;
 
-    std::unique_ptr<bxsa::StreamWriter> w = resp.make_stream_writer();
-    ASSERT_NE(w, nullptr);  // BXSA is a StreamingEncoding
-    w->start_document();
-    w->start_element(QName("urn:t", "reply", "t"),
-                     std::array<NamespaceDecl, 1>{{{"t", "urn:t"}}});
-    w->leaf(QName("sum"), sum);
-    w->end_element();
-    w->end_document();
-    resp.finish_stream(*w);
+    void on_chunk(StreamChunk chunk, ResponseWriter&) override {
+      if (chunk.kind == ChunkKind::kPatch) {
+        const auto decoded = decode_patch_records(chunk.bytes);
+        patches.insert(patches.end(), decoded.begin(), decoded.end());
+      } else {
+        wire.insert(wire.end(), chunk.bytes.begin(), chunk.bytes.end());
+      }
+    }
+    void on_end(ResponseWriter& resp) override {
+      apply_patches(wire, patches);
+      const DocumentPtr doc = bxsa::decode_document(wire);
+      const auto& root = static_cast<const Element&>(doc->root());
+      const auto* arr = dynamic_cast<const ArrayElement<double>*>(
+          root.find_child("values"));
+      ASSERT_NE(arr, nullptr);
+      double sum = 0;
+      for (double v : arr->values()) sum += v;
+
+      std::unique_ptr<bxsa::StreamWriter> w = resp.make_stream_writer();
+      ASSERT_NE(w, nullptr);  // BXSA is a StreamingEncoding
+      w->start_document();
+      w->start_element(QName("urn:t", "reply", "t"),
+                       std::array<NamespaceDecl, 1>{{{"t", "urn:t"}}});
+      w->leaf(QName("sum"), sum);
+      w->end_element();
+      w->end_document();
+      resp.finish_stream(*w);
+    }
+  };
+  StreamHandler typed = [](const std::string&) {
+    return std::make_unique<Typed>();
   };
 
   auto server = create_server(GetParam(), make_config(nullptr, "srv", typed));
@@ -166,9 +186,15 @@ TEST_P(StreamingServer, TypedStreamedCallRoundTrips) {
 }
 
 TEST_P(StreamingServer, FaultBeforeFirstChunkArrivesInBand) {
-  StreamHandler failing = [](StreamRequest& req, ResponseWriter&) {
-    (void)req.next_chunk();  // read a little, write nothing
-    throw SoapFaultError("soap:Client", "stream rejected");
+  struct Failing final : StreamCallbacks {
+    void on_chunk(StreamChunk, ResponseWriter&) override {
+      // Read a little, write nothing.
+      throw SoapFaultError("soap:Client", "stream rejected");
+    }
+    void on_end(ResponseWriter&) override {}
+  };
+  StreamHandler failing = [](const std::string&) {
+    return std::make_unique<Failing>();
   };
   auto server = create_server(GetParam(), make_config(nullptr, "srv", failing));
 
@@ -253,9 +279,18 @@ TEST_P(StreamingServer, HandlerChunkOfOtherKindIsRefusedBeforeTheWire) {
   // Refused locally, the bad chunks leave no byte on the wire: the stream
   // that follows is a clean echo the client parses to its end.
   std::atomic<int> refused{0};
-  StreamHandler handler = [&](StreamRequest& req, ResponseWriter& resp) {
-    refused = write_forbidden_kinds(resp);
-    echo_handler(req, resp);
+  struct RefusedThenEcho final : EchoStream {
+    explicit RefusedThenEcho(std::atomic<int>& r) : refused(r) {}
+    void on_chunk(StreamChunk chunk, ResponseWriter& out) override {
+      if (first) refused = write_forbidden_kinds(out);
+      first = false;
+      EchoStream::on_chunk(std::move(chunk), out);
+    }
+    std::atomic<int>& refused;
+    bool first = true;
+  };
+  StreamHandler handler = [&](const std::string&) {
+    return std::make_unique<RefusedThenEcho>(refused);
   };
   auto server =
       create_server(GetParam(), make_config(nullptr, "srv", handler));
