@@ -12,6 +12,10 @@
 // from the envelope (GatherMessage). The bytes on the wire equal the
 // contiguous frame, and a steady-state bulk call takes no large buffer
 // from the client's pool and leaves the pool as it found it.
+//
+// Pool reach: the server's small response buffers never take a bulk
+// request's recycled buffer, so a steady bulk exchange cycles the same
+// bytes through the server's pool on both dispatch legs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +26,7 @@
 
 #include "common/buffer_pool.hpp"
 #include "common/prng.hpp"
+#include "obs/metrics.hpp"
 #include "services/verification.hpp"
 #include "soap/engine.hpp"
 #include "support/server_legs.hpp"
@@ -359,6 +364,50 @@ TEST(GatherSend, SteadyBulkCallTakesNoLargeClientBuffer) {
   EXPECT_EQ(after.miss, before.miss);
   EXPECT_GT(after.hit, before.hit);
   EXPECT_LT(after.recycled_bytes - before.recycled_bytes, 1u << 20);
+}
+
+// ---- pool class reach ---------------------------------------------------------
+
+/// The server's pool bytes recycled per steady 4 MiB bulk exchange on `leg`.
+std::uint64_t recycled_per_bulk_exchange(ServerLeg leg) {
+  obs::Registry registry;
+  ServerConfig cfg;
+  cfg.encoding = AnyEncoding::from(BxsaEncoding{});
+  cfg.handler = services::verification_handler;
+  cfg.registry = &registry;
+  auto server = create_server(leg, std::move(cfg));
+  SoapEngine<BxsaEncoding, TcpClientBinding> client(
+      BxsaEncoding{}, TcpClientBinding(server->port()));
+  const auto dataset = workload::make_lead_dataset(349'440);
+  const services::VerificationOutcome expected{
+      true, dataset.model_size(), workload::dataset_checksum(dataset)};
+  const auto call = [&] {
+    EXPECT_EQ(services::parse_verify_response(
+                  client.call(services::make_data_request(dataset))),
+              expected);
+  };
+  // A response buffer recycles a beat after the client has the reply;
+  // wait for the counter to settle before reading it.
+  const obs::Counter& recycled = registry.counter("event.pool.recycled_bytes");
+  const auto settled = [&recycled] {
+    std::uint64_t seen = recycled.value();
+    for (;;) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (recycled.value() == seen) return seen;
+      seen = recycled.value();
+    }
+  };
+  for (int i = 0; i < 2; ++i) call();  // warm up
+  const std::uint64_t before = settled();
+  constexpr int kCalls = 50;
+  for (int i = 0; i < kCalls; ++i) call();
+  return (settled() - before) / kCalls;
+}
+
+TEST(PoolReach, SteadyBulkExchangeRecyclesTheSameOnBothLegs) {
+  const std::uint64_t pooled = recycled_per_bulk_exchange(ServerLeg::kWorkerPool);
+  const std::uint64_t inline_ = recycled_per_bulk_exchange(ServerLeg::kInline);
+  EXPECT_EQ(pooled, inline_);
 }
 
 }  // namespace
