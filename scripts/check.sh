@@ -52,8 +52,10 @@ echo "== ctest (tsan: buffer pool + event server + streaming) =="
 # SharedBuffer recycling machinery (including the per-thread cache churn
 # test), the sharded epoll reactors, their worker pool and their
 # cross-reactor handoffs (EventServer, EventShard), the client channel
-# pool, the chunked streaming path (per-stream threads + bounded queues,
-# and its truncation chaos), the overload-control surfaces
+# pool, the chunked streaming path (push-style stream callbacks on the
+# reactor and worker legs, the read tap that bounds their residency, the
+# thread-count check with 64 open streams, and its truncation chaos), the
+# overload-control surfaces
 # (admission/shed/park state shared between reactors and workers, the
 # ReliableCaller retry budget and circuit breaker, deadline propagation
 # into handler threads), the engine chaos matrix against a live server,
@@ -61,20 +63,22 @@ echo "== ctest (tsan: buffer pool + event server + streaming) =="
 # handoffs, the sharded response cache hammered from pooled channels, the
 # negotiation matrix and the over-grant clamp), the
 # negotiated-compression surfaces (per-connection transform state read by
-# stream/worker threads, shared CompressStats counters, the chunk
+# reactor and worker threads, shared CompressStats counters, the chunk
 # compress/decompress paths in the server and the channel pool), and the
 # streaming-security surfaces (per-stream authenticators handed between
-# reactor and stream threads, shared AuthStats counters, signed-stream
+# reactor and worker threads, shared AuthStats counters, signed-stream
 # round trips and the corruption chaos matrix), and the differential of
 # the two chunk-stream writers (server stream sink vs ChunkedFrameWriter,
-# byte for byte under every negotiation), and the bulk path's copy-free
+# byte for byte under every negotiation) and the whole pipelined stream
+# sessions captured raw, the pool's bounded class reach on a steady bulk
+# exchange, and the bulk path's copy-free
 # halves (the engine's borrowed encode against the contiguous one, the
 # N-buffer gathered send resuming after interrupted partial writes, reads
 # into recycled pool buffers that are never zero-filled, and the client
 # pool's conservation over gathered bulk calls). Every server-side suite
 # runs on both dispatch legs: a worker pool and inline on the reactors.
 (cd build-tsan && TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  ctest -R 'BufferPool\.|SharedBuffer\.|ServerConfig|EventServer|EventShard|ChannelPool|Streaming|StreamChaos|EngineChaos|Overload|ExpiredDrop|DeadlineContext|ReliableCaller|RespCache|V3Negotiation|V3Matrix|V3OverGrant|DictChannel|V3Chaos|CompressChannel|CompressChaos|Shuffle|SignedStream|ChunkStreamDiff|BorrowedEncode|WriteVectored|ReadInPlace|GatherSend' \
+  ctest -R 'BufferPool\.|SharedBuffer\.|ServerConfig|EventServer|EventShard|ChannelPool|Streaming|StreamChaos|EngineChaos|Overload|ExpiredDrop|DeadlineContext|ReliableCaller|RespCache|V3Negotiation|V3Matrix|V3OverGrant|DictChannel|V3Chaos|CompressChannel|CompressChaos|Shuffle|SignedStream|ChunkStreamDiff|ChunkStreamSession|PoolReach|BorrowedEncode|WriteVectored|ReadInPlace|GatherSend' \
   --output-on-failure -j "$jobs")
 
 echo "== overload chaos gate (tsan, retry storms + saturated sheds) =="
