@@ -16,6 +16,8 @@
 
 namespace bxsoap {
 
+class BufferPool;
+
 /// Bytes a serialized message borrows from their owner instead of copying
 /// (xbs::Writer's borrowing mode): they belong on the wire right before
 /// byte `at` of the buffer they accompany, and are valid only as long as
@@ -48,12 +50,21 @@ class ByteWriter {
   /// Adopt an existing buffer (e.g. one recycled from a BufferPool) and
   /// append to it. The buffer keeps whatever bytes it already holds.
   explicit ByteWriter(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {}
+  /// Write into a buffer of at least `reserve` bytes from `pool`. When the
+  /// bytes outgrow it, the writer moves to a recycled buffer of the size
+  /// class it now needs and gives the one it outgrew back, so a message
+  /// of any size reuses a buffer its size instead of reallocating.
+  ByteWriter(BufferPool& pool, std::size_t reserve);
 
-  void write_u8(std::uint8_t v) { buf_.push_back(v); }
+  void write_u8(std::uint8_t v) {
+    ensure(1);
+    buf_.push_back(v);
+  }
 
   template <typename T>
   void write(T v, ByteOrder order) {
     static_assert(std::is_arithmetic_v<T>);
+    ensure(sizeof(T));
     const std::size_t off = buf_.size();
     buf_.resize(off + sizeof(T));
     store(v, order, buf_.data() + off);
@@ -61,6 +72,7 @@ class ByteWriter {
 
   void write_bytes(const void* data, std::size_t n) {
     const auto* p = static_cast<const std::uint8_t*>(data);
+    ensure(n);
     buf_.insert(buf_.end(), p, p + n);
   }
 
@@ -77,6 +89,7 @@ class ByteWriter {
   void write_array(std::span<const T> values, ByteOrder order) {
     static_assert(std::is_arithmetic_v<T>);
     if (values.empty()) return;
+    ensure(values.size_bytes());
     const std::size_t off = buf_.size();
     buf_.resize(off + values.size_bytes());
     std::memcpy(buf_.data() + off, values.data(), values.size_bytes());
@@ -86,12 +99,16 @@ class ByteWriter {
   }
 
   /// Append `n` zero bytes (used for alignment padding).
-  void write_padding(std::size_t n) { buf_.resize(buf_.size() + n, 0); }
+  void write_padding(std::size_t n) {
+    ensure(n);
+    buf_.resize(buf_.size() + n, 0);
+  }
 
   /// Append `n` zero bytes for the caller to fill in place, e.g. a text
   /// encoder writing through a cursor and truncate()-ing the unused tail.
   /// The pointer is valid until the next call that grows the writer.
   std::uint8_t* extend(std::size_t n) {
+    ensure(n);
     const std::size_t off = buf_.size();
     buf_.resize(off + n);
     return buf_.data() + off;
@@ -123,7 +140,14 @@ class ByteWriter {
   const std::vector<std::uint8_t>& vec() const noexcept { return buf_; }
 
  private:
+  void ensure(std::size_t n) {
+    if (buf_.capacity() - buf_.size() < n) grow(n);
+  }
+  /// Room for `n` more bytes, at least doubling the capacity.
+  void grow(std::size_t n);
+
   std::vector<std::uint8_t> buf_;
+  BufferPool* pool_ = nullptr;
 };
 
 /// Reads bytes from a non-owning view with bounds checking. Every decode

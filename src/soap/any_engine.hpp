@@ -148,7 +148,7 @@ class AnySoapEngine {
   WireMessage encode(const SoapEnvelope& env) const {
     WireMessage m;
     m.content_type = encoding_->content_type();
-    ByteWriter w(pool_->acquire(256));
+    ByteWriter w(*pool_, 256);
     encoding_->serialize_into(env.document(), w);
     m.payload = w.take();
     return m;
