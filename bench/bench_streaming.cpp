@@ -17,6 +17,10 @@
 //     incremental on both ends). What signing costs in goodput and TTFB,
 //     at zero extra residency.
 //
+// At 1 and 16 MiB the streamed and signed legs run again on a server with
+// two worker threads ("w2" rows), which runs stream callbacks on its
+// workers instead of its reactors; these rows are reported, not gated.
+//
 // Reported per (size, leg): TTFB, total exchange time, and goodput.
 // Registry snapshot: BENCH_streaming.json, with the server's per-leg
 // stream.{chunks,flushes,buffered_bytes} and sec.* counters alongside.
@@ -127,6 +131,54 @@ LegResult run_streamed(SoapEngine<BxsaEncoding, TcpClientBinding>& engine,
   return r;
 }
 
+/// An echo server for one size and the two clients of its legs: plain
+/// (no Hello) and HMAC-signed.
+struct Rig {
+  Rig(obs::Registry& registry, const std::string& prefix,
+      std::size_t worker_threads)
+      : server(make_server(registry, prefix, worker_threads)),
+        engine(BxsaEncoding{}, binding(*server, false)),
+        signed_engine(BxsaEncoding{}, binding(*server, true)) {}
+
+  static std::unique_ptr<SoapServer> make_server(obs::Registry& registry,
+                                                 const std::string& prefix,
+                                                 std::size_t worker_threads) {
+    ServerConfig cfg;
+    cfg.encoding = AnyEncoding::from(BxsaEncoding{});
+    cfg.handler = [](SoapEnvelope env) { return env; };
+    struct Echo final : StreamCallbacks {
+      void on_chunk(StreamChunk chunk, ResponseWriter& out) override {
+        out.write_chunk(std::move(chunk));
+      }
+      void on_end(ResponseWriter& out) override { out.finish(); }
+    };
+    cfg.stream_handler = [](const std::string&) {
+      return std::make_unique<Echo>();
+    };
+    cfg.stream_chunk_bytes = kChunk;
+    cfg.frame_limits = wide_limits();
+    cfg.worker_threads = worker_threads;
+    cfg.registry = &registry;
+    cfg.metrics_prefix = prefix;
+    // The server offers HMAC; the unsigned legs simply never ask (no
+    // Hello), so they are served byte-identically to a plain server while
+    // the signed leg negotiates the MAC on the same port.
+    cfg.stream_auth = soap::make_hmac_stream_auth(kMacKey);
+    return SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
+  }
+
+  static TcpClientBinding binding(const SoapServer& server, bool sign) {
+    TcpClientBinding b(server.port());
+    b.set_frame_limits(wide_limits());
+    if (sign) b.enable_stream_auth(soap::make_hmac_stream_auth(kMacKey));
+    return b;
+  }
+
+  std::unique_ptr<SoapServer> server;
+  SoapEngine<BxsaEncoding, TcpClientBinding> engine;
+  SoapEngine<BxsaEncoding, TcpClientBinding> signed_engine;
+};
+
 void publish_leg(obs::Registry& registry, const std::string& prefix,
                  const LegResult& r, std::size_t mib) {
   registry.gauge(prefix + ".ttfb.us")
@@ -171,39 +223,7 @@ int main(int argc, char** argv) {
 
   for (const std::size_t mib : ladder) {
     // Fresh server per size so the leg's stream metrics are its own.
-    ServerConfig cfg;
-    cfg.encoding = AnyEncoding::from(BxsaEncoding{});
-    cfg.handler = [](SoapEnvelope env) { return env; };
-    struct Echo final : StreamCallbacks {
-      void on_chunk(StreamChunk chunk, ResponseWriter& out) override {
-        out.write_chunk(std::move(chunk));
-      }
-      void on_end(ResponseWriter& out) override { out.finish(); }
-    };
-    cfg.stream_handler = [](const std::string&) {
-      return std::make_unique<Echo>();
-    };
-    cfg.stream_chunk_bytes = kChunk;
-    cfg.frame_limits = wide_limits();
-    cfg.registry = &registry;
-    cfg.metrics_prefix = "mib" + std::to_string(mib);
-    // The server offers HMAC; the unsigned legs below simply never ask
-    // (no Hello), so they are served byte-identically to a plain server
-    // while the signed leg negotiates the MAC on the same port.
-    cfg.stream_auth = soap::make_hmac_stream_auth(kMacKey);
-    auto server =
-        SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
-
-    TcpClientBinding binding(server->port());
-    binding.set_frame_limits(wide_limits());
-    SoapEngine<BxsaEncoding, TcpClientBinding> engine(BxsaEncoding{},
-                                                      std::move(binding));
-
-    TcpClientBinding signed_binding(server->port());
-    signed_binding.set_frame_limits(wide_limits());
-    signed_binding.enable_stream_auth(soap::make_hmac_stream_auth(kMacKey));
-    SoapEngine<BxsaEncoding, TcpClientBinding> signed_engine(
-        BxsaEncoding{}, std::move(signed_binding));
+    Rig rig(registry, "mib" + std::to_string(mib), /*worker_threads=*/0);
 
     std::vector<double> values((mib << 20) / sizeof(double));
     std::iota(values.begin(), values.end(), 0.0);
@@ -215,17 +235,17 @@ int main(int argc, char** argv) {
     LegResult str;
     LegResult sig;
     for (int i = 0; i < reps; ++i) {
-      const LegResult m = run_materialized(engine, values);
+      const LegResult m = run_materialized(rig.engine, values);
       if (i == 0 || m.total_s < mat.total_s) mat = m;
-      const LegResult s = run_streamed(engine, values);
+      const LegResult s = run_streamed(rig.engine, values);
       if (i == 0 || s.total_s < str.total_s) str = s;
-      const LegResult g = run_streamed(signed_engine, values);
+      const LegResult g = run_streamed(rig.signed_engine, values);
       if (i == 0 || g.total_s < sig.total_s) sig = g;
     }
     const std::uint64_t peak_buffered =
         registry.waterline("mib" + std::to_string(mib) +
                            ".stream.buffered_bytes").peak();
-    server->stop();
+    rig.server->stop();
 
     publish_leg(registry, "materialized.mib" + std::to_string(mib), mat, mib);
     publish_leg(registry, "streamed.mib" + std::to_string(mib), str, mib);
@@ -267,6 +287,24 @@ int main(int argc, char** argv) {
     check(peak_buffered <= 2 * kChunk,
           ("signed-leg buffered waterline <= 2 chunks at " +
            std::to_string(mib) + " MiB").c_str());
+
+    // The worker leg, report-only: the same streamed and signed echoes on
+    // a server whose stream callbacks run on a pool of two workers.
+    if (mib > 16) continue;
+    Rig pooled(registry, "w2.mib" + std::to_string(mib), /*worker_threads=*/2);
+    LegResult wstr;
+    LegResult wsig;
+    for (int i = 0; i < reps; ++i) {
+      const LegResult s = run_streamed(pooled.engine, values);
+      if (i == 0 || s.total_s < wstr.total_s) wstr = s;
+      const LegResult g = run_streamed(pooled.signed_engine, values);
+      if (i == 0 || g.total_s < wsig.total_s) wsig = g;
+    }
+    pooled.server->stop();
+    publish_leg(registry, "streamed_w2.mib" + std::to_string(mib), wstr, mib);
+    publish_leg(registry, "signed_w2.mib" + std::to_string(mib), wsig, mib);
+    print_row(table, "streamed w2", mib, wstr);
+    print_row(table, "signed w2", mib, wsig);
   }
 
   const std::string path = bench::dump_registry_snapshot(registry, "streaming");

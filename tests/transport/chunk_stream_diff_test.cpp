@@ -11,8 +11,10 @@
 // one connection, with the stream echoed, refused before its first
 // response chunk (the in-band v1 fault) or failing after it (the
 // connection is cut). The expected bytes are built with the client-side
-// writers. Every negotiation (none, compression, HMAC auth, both) runs on
-// both server dispatch legs.
+// writers. ChunkStreamSessionBig echoes data chunks of 256 KiB and more on
+// a server with two reactors, so a stream that compresses or signs is
+// served off the reactor that reads it. Every negotiation (none,
+// compression, HMAC auth, both) runs on both server dispatch legs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -55,16 +58,16 @@ constexpr Negotiation kNegotiations[] = {
 };
 
 /// The fixed request: one chunk lzss wins on, one it must ship plain.
-std::vector<std::uint8_t> compressible() {
-  std::vector<std::uint8_t> out(8192);
+std::vector<std::uint8_t> compressible(std::size_t bytes = 8192) {
+  std::vector<std::uint8_t> out(bytes);
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = static_cast<std::uint8_t>("chunk stream "[i % 13]);
   }
   return out;
 }
 
-std::vector<std::uint8_t> incompressible() {
-  std::vector<std::uint8_t> out(8192);
+std::vector<std::uint8_t> incompressible(std::size_t bytes = 8192) {
+  std::vector<std::uint8_t> out(bytes);
   std::uint64_t x = 0x9E3779B97F4A7C15ull;
   for (auto& b : out) {
     x ^= x << 13;
@@ -83,14 +86,13 @@ std::vector<bxsa::PatchRecord> patches() {
   return {p};
 }
 
-/// Write the first `chunks` of the sequence (compressible, incompressible,
-/// patches) through a ChunkedFrameWriter armed for `transforms` and
-/// `auth`, then the stream's close unless `finish` is false.
+/// Write the `data` chunks, then the patch chunk if `patch`, through a
+/// ChunkedFrameWriter armed for `transforms` and `auth`, then the
+/// stream's close unless `finish` is false.
 template <FrameStream S>
-void write_sequence(S& out, std::uint8_t transforms, std::uint8_t auth,
-                    std::size_t chunks, bool finish = true,
-                    std::string_view content_type =
-                        BxsaEncoding::content_type()) {
+void write_chunks(S& out, std::uint8_t transforms, std::uint8_t auth,
+                  const std::vector<std::vector<std::uint8_t>>& data,
+                  bool patch, bool finish, std::string_view content_type) {
   BufferPool pool;
   std::unique_ptr<StreamAuthenticator> tx;
   ChunkedFrameWriter<S> w(out, content_type);
@@ -101,10 +103,36 @@ void write_sequence(S& out, std::uint8_t transforms, std::uint8_t auth,
     tx = make_hmac_stream_auth(kKey).make(auth);
     w.set_auth(tx.get(), auth);
   }
-  if (chunks > 0) w.write_data(compressible());
-  if (chunks > 1) w.write_data(incompressible());
-  if (chunks > 2) w.write_patches(patches());
+  for (const auto& chunk : data) w.write_data(chunk);
+  if (patch) w.write_patches(patches());
   if (finish) w.finish();
+}
+
+/// Write the first `chunks` of the sequence (compressible, incompressible,
+/// patches), then the stream's close unless `finish` is false.
+template <FrameStream S>
+void write_sequence(S& out, std::uint8_t transforms, std::uint8_t auth,
+                    std::size_t chunks, bool finish = true,
+                    std::string_view content_type =
+                        BxsaEncoding::content_type()) {
+  std::vector<std::vector<std::uint8_t>> data;
+  if (chunks > 0) data.push_back(compressible());
+  if (chunks > 1) data.push_back(incompressible());
+  write_chunks(out, transforms, auth, data, chunks > 2, finish, content_type);
+}
+
+/// The big-chunk request: data chunks of 256 KiB and more, compressible
+/// and not, then the patch chunk. Each takes a full compress and MAC pass
+/// of its own on the server's response side.
+template <FrameStream S>
+void write_big_sequence(S& out, std::uint8_t transforms, std::uint8_t auth,
+                        std::string_view content_type =
+                            BxsaEncoding::content_type()) {
+  constexpr std::size_t kBig = 256 * 1024;
+  write_chunks(out, transforms, auth,
+               {compressible(kBig), incompressible(kBig),
+                compressible(2 * kBig), incompressible(kBig)},
+               /*patch=*/true, /*finish=*/true, content_type);
 }
 
 std::vector<std::uint8_t> expected_wire(std::uint8_t transforms,
@@ -394,6 +422,48 @@ TEST_P(ChunkStreamSession, FailureAfterFirstChunkCutsTheConnection) {
   EXPECT_TRUE(std::equal(got.begin(), got.end(), most.begin()));
 }
 
+/// Sessions on a server with two reactors, so an inline stream that
+/// compresses or signs is served off the reactor that reads it.
+class ChunkStreamSessionBig : public ChunkStreamSession {
+ protected:
+  void configure(ServerConfig& cfg) override { cfg.reactor_threads = 2; }
+};
+
+TEST_P(ChunkStreamSessionBig, BigChunksKeepOrderAndBytes) {
+  MemoryStream out;
+  out.write_all(call_frame());
+  write_big_sequence(out, terms_.transforms, terms_.auth_algo(), kEchoType);
+  out.write_all(call_frame());
+  const std::vector<std::uint8_t> session = out.read_exact(out.pending());
+
+  std::vector<std::uint8_t> want = response_frame();
+  MemoryStream echoed;
+  write_big_sequence(echoed, terms_.transforms, terms_.auth_algo());
+  const std::vector<std::uint8_t> stream = echoed.read_exact(echoed.pending());
+  want.insert(want.end(), stream.begin(), stream.end());
+  const std::vector<std::uint8_t> second = response_frame();
+  want.insert(want.end(), second.begin(), second.end());
+
+  // The session is written from its own thread while this one reads, so
+  // neither side's socket buffers can wedge the exchange.
+  std::thread writer([&] {
+    try {
+      conn_.write_all(session);
+    } catch (const TransportError&) {
+      // A cut shows as short or wrong bytes below.
+    }
+  });
+  std::vector<std::uint8_t> got;
+  try {
+    got = conn_.read_exact(want.size());
+  } catch (const TransportError& e) {
+    ADD_FAILURE() << "reading the session: " << e.what();
+    conn_.shutdown_both();  // unblock the writer
+  }
+  writer.join();
+  EXPECT_EQ(got, want);
+}
+
 TEST_P(ChunkStreamSessionLimits, CallBehindAStreamIsNotShed) {
   // The first call is answered before the stream starts, so the call
   // behind the stream is the only request in flight.
@@ -421,6 +491,18 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(kNegotiations)),
     [](const auto& info) {
       return std::string("pool_") + std::get<1>(info.param).name;
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    LegsByNegotiation, ChunkStreamSessionBig,
+    ::testing::Combine(::testing::Values(ServerLeg::kWorkerPool,
+                                         ServerLeg::kInline),
+                       ::testing::ValuesIn(kNegotiations)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == ServerLeg::kWorkerPool
+                             ? "pool_"
+                             : "event_") +
+             std::get<1>(info.param).name;
     });
 
 INSTANTIATE_TEST_SUITE_P(
