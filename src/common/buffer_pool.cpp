@@ -56,6 +56,25 @@ std::size_t BufferPool::class_index_up(std::size_t bytes) const noexcept {
   return floor_log2(std::bit_ceil(bytes)) - floor_log2(cfg_.min_class_bytes);
 }
 
+void BufferPool::retire(ThreadCache& tc) {
+  std::lock_guard<std::mutex> lock(tc.mu);
+  // A dead cache's pool is gone. A live one's cannot finish its destructor
+  // while this lock is held, since it must mark the cache dead first.
+  if (tc.dead) return;
+  tc.dead = true;
+  BufferPool& pool = *tc.pool;
+  {
+    std::lock_guard<std::mutex> shared(pool.mu_);
+    for (std::size_t i = 0; i < tc.classes.size(); ++i) {
+      for (std::vector<std::uint8_t>& buf : tc.classes[i]) {
+        if (pool.classes_[i].size() >= pool.cfg_.max_buffers_per_class) break;
+        pool.classes_[i].push_back(std::move(buf));
+      }
+    }
+  }
+  tc.classes.clear();  // the rest free here
+}
+
 BufferPool::ThreadCache* BufferPool::this_thread_cache() {
   struct Slot {
     std::uint64_t pool_id = 0;
@@ -63,8 +82,14 @@ BufferPool::ThreadCache* BufferPool::this_thread_cache() {
   };
   // Most threads touch one or two pools; a tiny move-to-front vector beats a
   // hash map. Keyed by pool id, never address: ids are not reused, so a new
-  // pool allocated where a dead one lived cannot inherit its cache.
-  thread_local std::vector<Slot> slots;
+  // pool allocated where a dead one lived cannot inherit its cache. When the
+  // thread exits, each cache goes back to its pool.
+  struct Slots : std::vector<Slot> {
+    ~Slots() {
+      for (const Slot& s : *this) retire(*s.cache);
+    }
+  };
+  thread_local Slots slots;
 
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (slots[i].pool_id == id_) {
@@ -80,9 +105,16 @@ BufferPool::ThreadCache* BufferPool::this_thread_cache() {
   });
 
   auto cache = std::make_shared<ThreadCache>();
+  cache->pool = this;
   cache->classes.resize(num_classes_);
   {
     std::lock_guard<std::mutex> lock(caches_mu_);
+    // Forget the caches of threads that have exited (retire() emptied
+    // them), so the list stays O(live threads).
+    std::erase_if(caches_, [](const std::shared_ptr<ThreadCache>& c) {
+      std::lock_guard<std::mutex> cache_lock(c->mu);
+      return c->dead;
+    });
     caches_.push_back(cache);
   }
   slots.insert(slots.begin(), Slot{id_, cache});

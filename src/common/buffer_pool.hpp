@@ -42,7 +42,9 @@
 // keyed by a process-unique pool id (never an address, so a pool constructed
 // at a dead pool's address cannot inherit its buffers), and a destroyed
 // pool's caches are emptied eagerly — a thread that outlives the pool keeps
-// only an empty, dead husk until it next touches a pool.
+// only an empty, dead husk until it next touches a pool. A thread that
+// exits hands its caches' buffers to their pools' shared tiers, so a
+// short-lived thread (a client's per-call stream producer) pins nothing.
 #pragma once
 
 #include <atomic>
@@ -125,12 +127,18 @@ class BufferPool {
   /// pooled_buffers().
   struct ThreadCache {
     std::mutex mu;
-    bool dead = false;  ///< the owning pool is gone; never refill
+    /// The owning pool is gone, or the owning thread has exited and
+    /// retired the cache; never refill.
+    bool dead = false;
+    BufferPool* pool = nullptr;  ///< valid while !dead
     std::vector<std::vector<std::vector<std::uint8_t>>> classes;
   };
 
   std::size_t class_index_up(std::size_t bytes) const noexcept;
   ThreadCache* this_thread_cache();
+  /// At thread exit: move the cache's buffers into its pool's shared tier
+  /// (up to max_buffers_per_class each; the rest free) and mark it dead.
+  static void retire(ThreadCache& tc);
 
   Config cfg_;
   std::size_t num_classes_;

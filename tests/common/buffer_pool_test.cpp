@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <latch>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -148,14 +149,18 @@ TEST(BufferPool, AnotherThreadsCacheIsInvisibleButSpillIsShared) {
   cfg.thread_cache_buffers_per_class = 4;
   cfg.max_buffers_per_class = 16;
   BufferPool pool(cfg);
-  std::thread releaser([&pool] {
+  std::latch released(1);
+  std::latch checked(1);
+  std::thread releaser([&] {
     for (int i = 0; i < 5; ++i) {
       std::vector<std::uint8_t> b;
       b.reserve(2048);
       pool.release(std::move(b));
     }
+    released.count_down();
+    checked.wait();  // stay alive: an exited thread's cache is handed back
   });
-  releaser.join();
+  released.wait();
   // 4 buffers sit in the (now idle) releaser thread's cache, 1 spilled to
   // the shared tier. This thread can only reach the spilled one.
   EXPECT_EQ(pool.pooled_buffers(), 5u);
@@ -163,6 +168,31 @@ TEST(BufferPool, AnotherThreadsCacheIsInvisibleButSpillIsShared) {
   EXPECT_EQ(pool.stats().hit, 1u);
   (void)pool.acquire(2048);
   EXPECT_EQ(pool.stats().miss, 1u);
+  checked.count_down();
+  releaser.join();
+}
+
+TEST(BufferPool, ExitedThreadsCachesGoBackToTheSharedTier) {
+  BufferPool::Config cfg;
+  BufferPool pool(cfg);
+  constexpr int kThreads = 64;
+  std::latch acquired(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::vector<std::uint8_t> buf = pool.acquire(64 * 1024);
+      acquired.arrive_and_wait();  // 64 buffers in hand at once
+      pool.release(std::move(buf));  // into this thread's cache
+    });
+  }
+  for (auto& th : threads) th.join();
+  // Each exited thread's cache went back to the shared tier, up to its
+  // per-class cap; the rest were freed, not pinned.
+  EXPECT_LE(pool.pooled_buffers(), cfg.max_buffers_per_class);
+  const std::uint64_t hits = pool.stats().hit;
+  (void)pool.acquire(64 * 1024);
+  EXPECT_EQ(pool.stats().hit, hits + 1);
 }
 
 TEST(BufferPool, DestroyedPoolDrainsItsThreadCaches) {
