@@ -278,44 +278,24 @@ void TcpStream::set_no_delay(bool on) {
   }
 }
 
-TcpListener::TcpListener(const Options& opts) {
+TcpListener::TcpListener(std::uint16_t port, int backlog) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket");
   sock_ = Socket(fd);
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (opts.reuse_port) {
-    // Must be set on every sharing socket before bind, including the first.
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) < 0) {
-      throw_errno("setsockopt SO_REUSEPORT");
-    }
-  }
-  sockaddr_in addr = loopback(opts.port);
+  sockaddr_in addr = loopback(port);
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
       0) {
-    throw_errno("bind 127.0.0.1:" + std::to_string(opts.port));
+    throw_errno("bind 127.0.0.1:" + std::to_string(port));
   }
-  if (::listen(fd, opts.backlog) < 0) throw_errno("listen");
+  if (::listen(fd, backlog) < 0) throw_errno("listen");
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
     throw_errno("getsockname");
   }
   port_ = ntohs(bound.sin_port);
-}
-
-std::vector<TcpListener> TcpListener::sharded(std::size_t count,
-                                              std::uint16_t port,
-                                              int backlog) {
-  if (count == 0) count = 1;
-  std::vector<TcpListener> listeners;
-  listeners.reserve(count);
-  listeners.emplace_back(Options{port, backlog, true});
-  const std::uint16_t bound = listeners.front().port();
-  for (std::size_t i = 1; i < count; ++i) {
-    listeners.emplace_back(Options{bound, backlog, true});
-  }
-  return listeners;
 }
 
 TcpStream TcpListener::accept() {

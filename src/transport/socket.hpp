@@ -121,24 +121,7 @@ class TcpStream {
 /// A listening socket on 127.0.0.1 (port 0 = kernel-assigned).
 class TcpListener {
  public:
-  struct Options {
-    std::uint16_t port = 0;  ///< 0 = kernel-assigned
-    int backlog = 64;
-    /// Set SO_REUSEPORT before bind, so several listeners can share one
-    /// port and the kernel spreads incoming connections across them (the
-    /// per-reactor-listener topology of a sharded event server).
-    bool reuse_port = false;
-  };
-
-  explicit TcpListener(std::uint16_t port = 0, int backlog = 64)
-      : TcpListener(Options{port, backlog, false}) {}
-  explicit TcpListener(const Options& opts);
-
-  /// Build `count` SO_REUSEPORT listeners sharing one port: the first bind
-  /// resolves a kernel-assigned port when `port` is 0, the rest join it.
-  static std::vector<TcpListener> sharded(std::size_t count,
-                                          std::uint16_t port = 0,
-                                          int backlog = 64);
+  explicit TcpListener(std::uint16_t port = 0, int backlog = 64);
 
   std::uint16_t port() const noexcept { return port_; }
 

@@ -481,13 +481,11 @@ TEST(EventServer, ConcurrentMetricsAgreeWithClientTallies) {
 // ---- sharded-reactor behavior (PR 6 tentpole) -------------------------------
 
 std::unique_ptr<SoapServer> make_sharded(std::size_t reactors,
-                                         obs::Registry* registry = nullptr,
-                                         bool reuse_port = false) {
+                                         obs::Registry* registry = nullptr) {
   ServerConfig cfg;
   cfg.encoding = AnyEncoding::from(BxsaEncoding{});
   cfg.handler = services::verification_handler;
   cfg.reactor_threads = reactors;
-  cfg.reuse_port = reuse_port;
   cfg.worker_threads = 2;
   cfg.registry = registry;
   return SoapServer::create(ConcurrencyModel::kEventLoop, std::move(cfg));
@@ -529,38 +527,6 @@ TEST(EventShard, ConnectionsDistributeRoundRobinAcrossReactors) {
 TEST(EventShard, ServingThreadsIsReactorsPlusWorkers) {
   auto server = make_sharded(3);
   EXPECT_EQ(server->serving_threads(), 5u);  // 3 reactors + 2 workers
-}
-
-// reuse_port mode: every reactor has its own SO_REUSEPORT listener on ONE
-// port; the kernel spreads connections, and traffic is served identically.
-TEST(EventShard, ReusePortListenersServeConcurrentClients) {
-  obs::Registry registry;
-  auto server = make_sharded(2, &registry, /*reuse_port=*/true);
-
-  constexpr int kClients = 8;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&] {
-      try {
-        SoapEngine<BxsaEncoding, TcpClientBinding> client(
-            {}, TcpClientBinding(server->port()));
-        SoapEnvelope resp = client.call(
-            services::make_data_request(workload::make_lead_dataset(7)));
-        if (!services::parse_verify_response(resp).ok) ++failures;
-      } catch (const std::exception&) {
-        ++failures;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(server->exchanges(), static_cast<std::size_t>(kClients));
-  // Kernel hashing chose the shard, but every connection was counted by
-  // exactly one.
-  EXPECT_EQ(registry.counter("event.reactor.0.connections").value() +
-                registry.counter("event.reactor.1.connections").value(),
-            static_cast<std::uint64_t>(kClients));
 }
 
 // Pipelining still holds when the connection lives on a non-accepting
