@@ -313,7 +313,15 @@ std::vector<PatchRecord> StreamWriter::finish() {
                       " unclosed scopes");
   }
   done_ = true;
-  flush_chunk();
+  // The last piece leaves without a replacement: nothing follows it, and a
+  // spare buffer would be freed with the writer instead of recycled.
+  const bool empty = w_.buffered() == 0;
+  std::vector<std::uint8_t> last = w_.drain();
+  if (empty) {
+    pool_->release(std::move(last));
+  } else {
+    sink_(std::move(last));
+  }
   return std::move(patches_);
 }
 

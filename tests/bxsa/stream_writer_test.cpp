@@ -4,6 +4,7 @@
 
 #include "bxsa/decoder.hpp"
 #include "bxsa/encoder.hpp"
+#include "common/buffer_pool.hpp"
 #include "common/hex.hpp"
 #include "common/prng.hpp"
 #include "xdm/equal.hpp"
@@ -246,6 +247,29 @@ TEST(StreamWriter, LargeStreamedDatasetRoundTrips) {
     gathered.insert(gathered.end(), arr.values().begin(), arr.values().end());
   }
   EXPECT_EQ(gathered, all);
+}
+
+// A chunked writer recycles: every buffer it takes from the pool comes
+// back, the last one through the sink, none freed with the writer.
+TEST(StreamWriter, ChunkedWriterReturnsEveryBufferToThePool) {
+  BufferPool pool;
+  std::size_t chunks = 0;
+  {
+    StreamWriter w(ByteOrder::kLittle, 512, pool,
+                   [&](std::vector<std::uint8_t> chunk) {
+                     ++chunks;
+                     pool.release(std::move(chunk));
+                   });
+    const std::vector<double> values(300, 1.5);
+    w.start_document();
+    w.start_element(QName("data"));
+    w.array(QName("xs"), std::span<const double>(values));
+    w.end_element();
+    w.end_document();
+    w.finish();
+  }
+  EXPECT_GT(chunks, 2u);
+  EXPECT_EQ(pool.pooled_buffers(), pool.stats().miss);
 }
 
 }  // namespace
